@@ -8,14 +8,13 @@ group is hyperbolic outright; a member equal to the whole graph means no
 proper peripheral structure exists.
 """
 
-from graphprod import corpus, jinf
+from graphprod import corpus, induced_squares, jinf
 from graphprod.relhyp import _step
-from graphprod.squares import _square_data
 from graphprod.graphs import _set_from_mask
 
 
 def show_iteration(g):
-    collection = sorted({sq for sq, _, _, _ in _square_data(g)})
+    collection = sorted(q.mask for q in induced_squares(g))
     step = 0
     print(f"  J^0 = {[_set_from_mask(g, m) for m in collection] or '()'}")
     while collection:

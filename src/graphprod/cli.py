@@ -84,7 +84,7 @@ def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"gpr: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
     try:

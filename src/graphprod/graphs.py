@@ -67,7 +67,7 @@ class SimplicialGraph:
     """
 
     __slots__ = ("name", "vertices", "_orders", "_orders_ix", "_index", "_nbrs",
-                 "_adj_bits", "_edges", "_hash")
+                 "_adj_bits", "_edges", "_hash", "_core")
 
     def __init__(self, name, vertices, edges=(), orders=None):
         vertices = tuple(vertices)
@@ -114,6 +114,8 @@ class SimplicialGraph:
         object.__setattr__(self, "_hash", hash(
             (name, vertices, tuple(sorted(edge_set)),
              tuple(orders.get(v, 2) for v in vertices))))
+        # per-graph square data, filled in on first use by graphprod.squares
+        object.__setattr__(self, "_core", None)
 
     def __setattr__(self, *_):
         raise AttributeError("SimplicialGraph is immutable")
@@ -353,51 +355,54 @@ def _square_pairing(adj, quad):
     return None
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# Graphs up to this many vertices list their squares in lexicographic order
+# of the sorted index 4-tuple, larger ones in ascending mask order.  The two
+# orders differ; both are kept because the order shows in `analyze` output
+# (uncovered squares) and in closure traces.
+_LEX_ORDER_MAX_N = 16
+
+
 def induced_squares(g):
     """All induced 4-cycles of g, as 4-element VertexSets in canonical order.
+
+    Output-sensitive: each square is found once, from the diagonal through
+    its least vertex x, as a non-adjacent pair (y, w) of common neighbours
+    of x and a vertex z > x at distance 2.
 
     >>> g = parse_graph("graph SQ4\\nvertex a\\nvertex b\\nvertex c\\nvertex d\\n"
     ...                 "edge a b\\nedge b c\\nedge c d\\nedge d a")
     >>> induced_squares(g)
     ({a,b,c,d},)
     """
-    if g.n <= 16:
-        quads = _squares_by_subsets(g)
-    else:
-        quads = _squares_by_edge_pairs(g)
-    return tuple(_set_from_mask(g, m) for m in quads)
-
-
-def _squares_by_subsets(g):
     adj = g._adj_bits
-    out = []
-    for quad in combinations(range(g.n), 4):
-        if _square_pairing(adj, quad) is not None:
-            out.append((1 << quad[0]) | (1 << quad[1]) | (1 << quad[2]) | (1 << quad[3]))
-    return out
-
-
-def _squares_by_edge_pairs(g):
-    # Drive by non-adjacent pairs: a square is two non-adjacent pairs that are
-    # fully joined.  Each square is seen from both diagonals; keep the one
-    # whose first diagonal is lexicographically least.
-    adj = g._adj_bits
-    n = g.n
-    found = {}
-    for x, z in combinations(range(n), 2):
-        if (adj[x] >> z) & 1:
-            continue
-        common = adj[x] & adj[z]
-        cands = [i for i in range(n) if (common >> i) & 1]
-        for y, w in combinations(cands, 2):
-            if (adj[y] >> w) & 1:
+    masks = []
+    for x in range(g.n):
+        above = -1 << (x + 1)          # indices greater than x
+        nbrs = adj[x] & above
+        reach = 0
+        for y in _bits(nbrs):
+            reach |= adj[y]
+        for z in _bits(reach & above & ~adj[x]):
+            common = nbrs & adj[z]
+            if common & (common - 1) == 0:
                 continue
-            mask = (1 << x) | (1 << z) | (1 << y) | (1 << w)
-            key = min((x, z), (y, w))
-            prev = found.get(mask)
-            if prev is None or key < prev:
-                found[mask] = key
-    return sorted(found)
+            pair = (1 << x) | (1 << z)
+            for y in _bits(common):
+                for w in _bits(common & ~adj[y] & (-1 << (y + 1))):
+                    masks.append(pair | (1 << y) | (1 << w))
+    if g.n <= _LEX_ORDER_MAX_N:
+        masks.sort(key=lambda m: tuple(_bits(m)))
+    else:
+        masks.sort()
+    return tuple(_set_from_mask(g, m) for m in masks)
 
 
 def square_diagonals(s):
@@ -417,23 +422,58 @@ def square_diagonals(s):
 
 
 def clique_number(g):
-    """Size of a maximum clique (0 for the empty graph)."""
+    """Size of a maximum clique (0 for the empty graph).  Branch and bound
+    over (size, candidates) states on an explicit stack, so depth is not
+    limited by the recursion limit."""
     adj = g._adj_bits
     best = 0
-
-    def grow(size, cand):
-        nonlocal best
+    stack = [(0, (1 << g.n) - 1)]
+    while stack:
+        size, cand = stack.pop()
         if size + cand.bit_count() <= best:
-            return
+            continue
         if not cand:
-            best = max(best, size)
-            return
-        v = (cand & -cand).bit_length() - 1
-        grow(size + 1, cand & adj[v])
-        grow(size, cand & ~(1 << v))
-
-    grow(0, (1 << g.n) - 1)
+            best = size
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append((size, cand ^ low))
+        stack.append((size + 1, cand & adj[v]))
     return best
+
+
+def _merge_overlapping(g, masks):
+    """Unions of the connected components of masks, two masks being joined
+    when they share a non-adjacent vertex pair (when their intersection is
+    not complete).  Components come from a union-find over an index from
+    each non-adjacent pair, among vertices lying in two or more masks, to
+    the first mask holding it; they are listed in order of first member."""
+    adj = g._adj_bits
+    seen = shared = 0
+    for m in masks:
+        shared |= seen & m
+        seen |= m
+    parent = list(range(len(masks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}
+    for i, m in enumerate(masks):
+        inner = m & shared
+        for u in _bits(inner):
+            for v in _bits(inner & ~adj[u] & (-1 << (u + 1))):
+                ri, rj = find(i), find(first.setdefault((u, v), i))
+                if ri != rj:
+                    parent[ri] = rj
+    merged = {}
+    for i, m in enumerate(masks):
+        r = find(i)
+        merged[r] = merged.get(r, 0) | m
+    return list(merged.values())
 
 
 def core_decomposition(s):

@@ -11,10 +11,9 @@ parabolic subgroups spanned by its members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import _set_from_mask
-from .squares import _square_data
+from .graphs import _bits, _merge_overlapping, _set_from_mask
+from .squares import _core
 
 __all__ = ["PeripheralStructure", "cp", "jinf"]
 
@@ -36,18 +35,24 @@ class PeripheralStructure:
 
 
 def _complete_mask(g, mask):
+    """True iff the vertices of mask are pairwise adjacent."""
     adj = g._adj_bits
-    verts = [i for i in range(g.n) if (mask >> i) & 1]
-    return all((adj[u] >> v) & 1 for u, v in combinations(verts, 2))
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~adj[low.bit_length() - 1] & ~low:
+            return False
+        rest ^= low
+    return True
 
 
 def _cp_mask(g, mask):
     adj = g._adj_bits
     out = mask
-    for v in range(g.n):
-        if (mask >> v) & 1:
-            continue
-        if not _complete_mask(g, adj[v] & mask):
+    for v in _bits(((1 << g.n) - 1) & ~mask):
+        link = adj[v] & mask
+        # links with fewer than two vertices are complete
+        if link & (link - 1) and not _complete_mask(g, link):
             out |= 1 << v
     return out
 
@@ -61,24 +66,7 @@ def cp(s):
 def _step(g, collection):
     """One iteration: merge the connected components of the non-complete-
     intersection graph, then pad each union once.  Equal unions collapse."""
-    k = len(collection)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in combinations(range(k), 2):
-        inter = collection[i] & collection[j]
-        if inter and not _complete_mask(g, inter):
-            parent[find(i)] = find(j)
-    merged = {}
-    for i in range(k):
-        r = find(i)
-        merged[r] = merged.get(r, 0) | collection[i]
-    return sorted({_cp_mask(g, m) for m in merged.values()})
+    return sorted({_cp_mask(g, m) for m in _merge_overlapping(g, collection)})
 
 
 def jinf(g):
@@ -91,7 +79,7 @@ def jinf(g):
     >>> jinf(c5).status
     'hyperbolic'
     """
-    collection = sorted({sq for sq, _, _, _ in _square_data(g)})
+    collection = sorted(_core(g).masks)
     if not collection:
         return PeripheralStructure(members=(), iterations=0, status="hyperbolic")
     iterations = 0

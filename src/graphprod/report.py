@@ -21,15 +21,15 @@ from .isomorphism import MAX_EXACT_VERTICES, canonical_key, fingerprint, piece_l
 from .geometry import is_essential
 from .relhyp import jinf
 from .squares import (
+    _core,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
     is_minsquare_graph,
-    is_square_complete,
     minsquare_subgraphs,
     morse_all_hyperbolic,
 )
-from .graphs import clique_number, core_decomposition, induced_squares
+from .graphs import clique_number, core_decomposition
 
 __all__ = ["AnalysisReport", "ComparisonVerdict", "analyze", "compare",
            "render_report", "render_comparison"]
@@ -107,16 +107,17 @@ class AnalysisReport:
 
 def analyze(g):
     per = jinf(g)
+    n_squares = len(_core(g).squares)
     return AnalysisReport(
         graph_name=g.name,
         n_vertices=g.n,
         orders=g.orders,
         clique_number=clique_number(g),
-        square_free=not induced_squares(g),
+        square_free=n_squares == 0,
         hyperbolic=is_hyperbolic(g),
         essential=is_essential(g),
         core=core_decomposition(g.full_set()),
-        n_induced_squares=len(induced_squares(g)),
+        n_induced_squares=n_squares,
         minsquare_subgraphs=minsquare_subgraphs(g),
         is_minsquare_graph=is_minsquare_graph(g),
         cfs=cfs_check(g),
@@ -196,15 +197,17 @@ def _has_join_form(g):
 
 
 def _has_sc_order2_square(g):
-    for q in induced_squares(g):
-        if all(g.order(v) == 2 for v in q) and is_square_complete(q):
-            return True
-    return False
+    # a square is square-complete iff its closure adds nothing
+    core = _core(g)
+    return any(c == m and all(g.order(v) == 2 for v in q)
+               for q, m, c in zip(core.squares, core.masks, core.closures))
 
 
-def _piece_multiset(pieces):
-    """(Counter keyed by isomorphism class, display string, exact flag)."""
-    exact = all(len(p) <= MAX_EXACT_VERTICES for p in pieces)
+def _piece_multiset(pieces, exact=True):
+    """(Counter keyed by isomorphism class, display string, exact flag).
+    Keys are exact canonical keys when `exact` is set and every piece is
+    small enough, degree/order fingerprints otherwise."""
+    exact = exact and all(len(p) <= MAX_EXACT_VERTICES for p in pieces)
     keyfn = canonical_key if exact else fingerprint
     counter = Counter()
     labels = {}
@@ -251,9 +254,8 @@ def compare(ga, gb):
         cb, db, exb = _piece_multiset(pieces_b)
         if exa != exb:
             # one side degraded: compare both by fingerprints for soundness
-            ca, da, _ = _piece_multiset_by_fingerprint(pieces_a)
-            cb, db, _ = _piece_multiset_by_fingerprint(pieces_b)
-            exa = exb = False
+            ca, da, exa = _piece_multiset(pieces_a, exact=False)
+            cb, db, exb = _piece_multiset(pieces_b, exact=False)
         if ca != cb:
             diffs.append((name, da, db))
         elif not exa:
@@ -267,17 +269,6 @@ def compare(ga, gb):
         verdict="distinguished" if diffs else "inconclusive",
         notes=tuple(notes),
     )
-
-
-def _piece_multiset_by_fingerprint(pieces):
-    counter = Counter()
-    labels = {}
-    for p in pieces:
-        k = fingerprint(p)
-        counter[k] += 1
-        labels.setdefault(k, piece_label(p))
-    shown = sorted(f"{counter[k]} x {labels[k]}" for k in counter)
-    return counter, ("; ".join(shown) or "(none)"), False
 
 
 def render_comparison(verdict):

@@ -6,20 +6,26 @@ that rule gives the least square-complete superset; the minimal closures of
 single squares are the minsquare subgraphs, the pieces behind every decision
 procedure in this module (hyperbolicity of the electrification, the Morse
 dichotomy, the minsquare-graph test).
+
+Everything derived from a graph's squares lives in one per-graph square
+core: the squares with their masks and diagonals, the closure of every
+square and the minsquare pieces.  It is built on first use, piece by piece,
+and kept on the graph itself (``SimplicialGraph._core``), so each piece is
+computed at most once per graph and is freed together with the graph; there
+is no module-level cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .graphs import (
+    _bits,
+    _merge_overlapping,
+    _set_from_mask,
     core_decomposition,
     induced_squares,
-    square_diagonals,
-    _set_from_mask,
 )
 
 __all__ = [
@@ -59,16 +65,69 @@ class MorseDichotomy(NamedTuple):
     certificate: object
 
 
-@lru_cache(maxsize=None)
-def _square_data(g):
-    """Per-graph square table: (square mask, diag1 mask, diag2 mask, VertexSet)."""
-    out = []
-    for sq in induced_squares(g):
-        d1, d2 = square_diagonals(sq)
-        m1 = (1 << g.index(d1[0])) | (1 << g.index(d1[1]))
-        m2 = (1 << g.index(d2[0])) | (1 << g.index(d2[1]))
-        out.append((sq.mask, m1, m2, sq))
-    return tuple(out)
+class _SquareCore:
+    """The square data of one graph.
+
+    squares    induced squares (VertexSets) in canonical order
+    masks      their vertex bitmasks
+    rows       (mask, diagonal 1 mask, diagonal 2 mask, diagonal 1 names,
+               diagonal 2 names, square) per square, diagonals in canonical
+               order: the table a closure scans
+    closures   square_complete_closure result mask of each square (lazy)
+    minimal    masks of the minsquare subgraphs, ascending (lazy)
+    pieces     the minsquare subgraphs as VertexSets (lazy)
+    """
+
+    __slots__ = ("graph", "squares", "masks", "rows",
+                 "_closures", "_minimal", "_pieces")
+
+    def __init__(self, g):
+        adj = g._adj_bits
+        names = g.vertices
+        self.graph = g
+        self.squares = induced_squares(g)
+        self.masks = tuple(q.mask for q in self.squares)
+        rows = []
+        for m, q in zip(self.masks, self.squares):
+            # the diagonal through the least vertex is that vertex and the
+            # one vertex of the square not adjacent to it
+            low = m & -m
+            d1 = low | (m & ~adj[low.bit_length() - 1] & ~low)
+            d2 = m ^ d1
+            rows.append((m, d1, d2, tuple(names[i] for i in _bits(d1)),
+                         tuple(names[i] for i in _bits(d2)), q))
+        self.rows = tuple(rows)
+        self._closures = self._minimal = self._pieces = None
+
+    @property
+    def closures(self):
+        if self._closures is None:
+            self._closures = tuple(square_complete_closure(q).result.mask
+                                   for q in self.squares)
+        return self._closures
+
+    @property
+    def minimal(self):
+        if self._minimal is None:
+            closures = sorted(set(self.closures))
+            self._minimal = tuple(c for c in closures
+                                  if not any(o != c and o & ~c == 0 for o in closures))
+        return self._minimal
+
+    @property
+    def pieces(self):
+        if self._pieces is None:
+            self._pieces = tuple(_set_from_mask(self.graph, m) for m in self.minimal)
+        return self._pieces
+
+
+def _core(g):
+    """The square core of g, built on first use and kept on g."""
+    core = g._core
+    if core is None:
+        core = _SquareCore(g)
+        object.__setattr__(g, "_core", core)
+    return core
 
 
 def is_square_complete(s):
@@ -84,7 +143,7 @@ def is_square_complete(s):
     True
     """
     mask = s.mask
-    for sq, d1, d2, _ in _square_data(s.graph):
+    for sq, d1, d2, _, _, _ in _core(s.graph).rows:
         if sq & ~mask and ((d1 & ~mask) == 0 or (d2 & ~mask) == 0):
             return False
     return True
@@ -98,21 +157,21 @@ def square_complete_closure(seed):
     seed, and running the closure on its own result adds nothing.
     """
     g = seed.graph
-    data = _square_data(g)
+    rows = _core(g).rows
     cur = seed.mask
     steps = []
     changed = True
     while changed:
         changed = False
-        for sq, d1, d2, sqset in data:
+        for sq, d1, d2, t1, t2, sqset in rows:
             if sq & ~cur:
                 if (d1 & ~cur) == 0:
-                    trigger = d1
+                    trigger = t1
                 elif (d2 & ~cur) == 0:
-                    trigger = d2
+                    trigger = t2
                 else:
                     continue
-                steps.append((sqset, _set_from_mask(g, trigger).sorted))
+                steps.append((sqset, trigger))
                 cur |= sq
                 changed = True
     return ClosureTrace(seed=seed, steps=tuple(steps), result=_set_from_mask(g, cur))
@@ -122,33 +181,33 @@ def minsquare_subgraphs(g):
     """Inclusion-minimal square-complete subgraphs containing a square, as the
     minimal elements of the squares' closures.  Canonically sorted; empty iff
     the graph is square-free."""
-    closures = sorted({square_complete_closure(sq).result.mask
-                       for _, _, _, sq in _square_data(g)})
-    minimal = [c for c in closures
-               if not any(o != c and o & ~c == 0 for o in closures)]
-    return tuple(_set_from_mask(g, m) for m in minimal)
+    return _core(g).pieces
 
 
 def is_minsquare_graph(g):
     """True iff g contains a square and its only minsquare subgraph is g itself."""
-    ms = minsquare_subgraphs(g)
-    return len(ms) == 1 and ms[0].members == frozenset(g.vertices)
+    return _core(g).minimal == ((1 << g.n) - 1,)
 
 
 def is_hyperbolic(g):
     """A graph product of finite groups is hyperbolic iff its graph has no
     induced square."""
-    return not _square_data(g)
+    return not _core(g).masks
 
 
 def electrification_hyperbolic(g):
     """Whether coning off the minsquare parabolic subgroups yields a
     hyperbolic space: true iff every induced square lies inside some
     minsquare subgraph.  When false, the squares contained in no minsquare
-    subgraph are returned as witnesses."""
-    minimal = [m.mask for m in minsquare_subgraphs(g)]
-    uncovered = tuple(sq for _, _, _, sq in _square_data(g)
-                      if not any((sq.mask & ~m) == 0 for m in minimal))
+    subgraph are returned as witnesses.
+
+    A minsquare subgraph containing a square contains its closure, and the
+    closure already contains a minsquare subgraph, so a square is covered
+    iff its closure is minimal."""
+    core = _core(g)
+    minimal = set(core.minimal)
+    uncovered = tuple(sq for sq, c in zip(core.squares, core.closures)
+                      if c not in minimal)
     return ElectrificationCheck(hyperbolic=not uncovered, uncovered=uncovered)
 
 
@@ -165,7 +224,7 @@ def morse_all_hyperbolic(g):
     if is_hyperbolic(g):
         return MorseDichotomy(True, "square-free")
     lam0, lam1 = core_decomposition(g.full_set())
-    if lam0 in minsquare_subgraphs(g):
+    if lam0.mask in _core(g).minimal:
         return MorseDichotomy(True, (lam0, lam1))
     return MorseDichotomy(
         False,
@@ -174,31 +233,9 @@ def morse_all_hyperbolic(g):
 
 def cfs_check(g):
     """True iff the squares of one connected component of the square-overlap
-    graph (squares joined when they share a non-adjacent vertex pair) cover
-    every vertex of g."""
-    data = _square_data(g)
-    k = len(data)
-    if k == 0:
+    graph (squares joined when they share a non-adjacent vertex pair, that
+    is, a diagonal) cover every vertex of g."""
+    masks = _core(g).masks
+    if not masks:
         return g.n == 0
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    adj = g._adj_bits
-    for i, j in combinations(range(k), 2):
-        common = data[i][0] & data[j][0]
-        if common.bit_count() < 2:
-            continue
-        verts = [t for t in range(g.n) if (common >> t) & 1]
-        if any(not (adj[u] >> v) & 1 for u, v in combinations(verts, 2)):
-            parent[find(i)] = find(j)
-    full = (1 << g.n) - 1
-    cover = {}
-    for i in range(k):
-        r = find(i)
-        cover[r] = cover.get(r, 0) | data[i][0]
-    return any(c == full for c in cover.values())
+    return (1 << g.n) - 1 in _merge_overlapping(g, masks)

@@ -33,6 +33,16 @@ def brute_squares(g):
     return out
 
 
+def brute_clique_number(g):
+    """Size of a largest pairwise-adjacent vertex subset, by trying every
+    subset from the largest size down."""
+    for size in range(g.n, 0, -1):
+        if any(all(g.adjacent(u, v) for u, v in combinations(sub, 2))
+               for sub in combinations(g.vertices, size)):
+            return size
+    return 0
+
+
 def brute_is_square_complete(g, subset, squares=None):
     subset = frozenset(subset)
     for quad in (squares if squares is not None else brute_squares(g)):
@@ -76,6 +86,38 @@ def brute_minsquare(g):
     _, with_sq = brute_square_complete_sets(g)
     return {s for s in with_sq
             if not any(o != s and o <= s for o in with_sq)}
+
+
+def brute_jinf(g):
+    """(members as frozensets, iterations) of the merge-and-pad iteration,
+    from the definition: merge every pair of members whose intersection
+    has two non-adjacent vertices, transitively, then add each outside
+    vertex whose link meets a merged set in two non-adjacent vertices."""
+    def complete(s):
+        return all(g.adjacent(u, v) for u, v in combinations(sorted(s), 2))
+
+    collection = set(brute_squares(g))
+    iterations = 0
+    while collection:
+        groups = [{m} for m in collection]
+        merged = True
+        while merged:
+            merged = False
+            for a, b in combinations(range(len(groups)), 2):
+                if any(not complete(x & y) for x in groups[a] for y in groups[b]):
+                    groups[a] |= groups.pop(b)
+                    merged = True
+                    break
+        nxt = set()
+        for grp in groups:
+            union = frozenset().union(*grp)
+            nxt.add(union | {v for v in g.vertices if v not in union
+                             and not complete(g.neighbors(v) & union)})
+        if nxt == collection:
+            break
+        collection = nxt
+        iterations += 1
+    return collection, iterations
 
 
 def brute_join_split_exists(g):

@@ -1,0 +1,25 @@
+"""The narrative demos run to completion in-process.
+
+Demo 05 is left out: its exhaustive search for the smallest graph with a
+non-hyperbolic electrification takes about 10 s, longer than the rest of a
+test module should.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", [
+    "01_graphs_and_words.py",
+    "02_minsquare_structure.py",
+    "03_relative_hyperbolicity.py",
+    "04_hyperplanes_and_balls.py",
+    "06_qi_comparison.py",
+])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out.strip()

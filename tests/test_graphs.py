@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,11 +16,9 @@ from graphprod.graphs import (
     serialize_graph,
     square_diagonals,
     star,
-    _squares_by_edge_pairs,
-    _squares_by_subsets,
 )
 
-from oracles import brute_squares, make_random_graph
+from oracles import brute_clique_number, brute_squares, make_random_graph
 
 
 # --- parsing ----------------------------------------------------------------
@@ -145,9 +144,20 @@ def test_squares_match_bruteforce(corpus_graphs, random_graphs_9):
         assert got == brute_squares(g)
 
 
-def test_square_enumeration_paths_agree(random_graphs_9):
-    for g in random_graphs_9[:80]:
-        assert sorted(_squares_by_subsets(g)) == sorted(_squares_by_edge_pairs(g))
+def test_square_enumeration_order_matches_oracle(random_graphs_9):
+    # up to 16 vertices: lexicographic by sorted index tuple
+    for g in random_graphs_9:
+        want = sorted(brute_squares(g), key=lambda q: sorted(map(g.index, q)))
+        assert [q.members for q in induced_squares(g)] == want
+    # above 16 vertices: ascending vertex bitmask
+    rng = random.Random(1730)
+    for n in range(17, 31):
+        for p in (0.3, 0.7):
+            verts = [f"v{i}" for i in range(n)]
+            g = SimplicialGraph(f"M{n}", verts, [
+                e for e in combinations(verts, 2) if rng.random() < p])
+            want = sorted(brute_squares(g), key=lambda q: sum(1 << g.index(v) for v in q))
+            assert [q.members for q in induced_squares(g)] == want
 
 
 def test_square_diagonals(corpus_graphs, random_graphs_9):
@@ -174,15 +184,13 @@ def test_clique_number(corpus_graphs):
 
 
 def test_clique_number_matches_bruteforce(random_graphs_9):
-    from itertools import combinations
-    for g in random_graphs_9[:60]:
-        best = 0
-        for size in range(g.n, 0, -1):
-            if any(all(g.adjacent(u, v) for u, v in combinations(sub, 2))
-                   for sub in combinations(g.vertices, size)):
-                best = size
-                break
-        assert clique_number(g) == best
+    for g in random_graphs_9:
+        assert clique_number(g) == brute_clique_number(g)
+
+
+def test_clique_number_deep_search_needs_no_recursion():
+    g = SimplicialGraph("EMPTY1200", [f"v{i}" for i in range(1200)], [])
+    assert clique_number(g) == 1
 
 
 # --- core decomposition ---------------------------------------------------------

@@ -1,8 +1,11 @@
+import random
 from itertools import combinations
 
-from graphprod.graphs import is_complete, link
+from graphprod.graphs import SimplicialGraph, is_complete, link
 from graphprod.relhyp import cp, jinf
 from graphprod.squares import is_hyperbolic, minsquare_subgraphs
+
+from oracles import brute_jinf
 
 
 def test_cp_examples(corpus_graphs):
@@ -61,6 +64,21 @@ def test_jinf_contract_and_idempotence(corpus_graphs, random_graphs_9):
         for m in per.members:
             assert cp(m) == m
         assert (per.status == "hyperbolic") == is_hyperbolic(g)
+
+
+def test_jinf_matches_bruteforce(corpus_graphs, random_graphs_9):
+    rng = random.Random(4711)
+    sparse = []
+    for k in range(12):
+        n = rng.randint(12, 20)
+        verts = [f"v{i}" for i in range(n)]
+        sparse.append(SimplicialGraph(f"S{k}", verts, [
+            e for e in combinations(verts, 2) if rng.random() < 3 / n]))
+    for g in list(corpus_graphs.values()) + random_graphs_9 + sparse:
+        per = jinf(g)
+        members, iterations = brute_jinf(g)
+        assert {m.members for m in per.members} == members
+        assert per.iterations == iterations
 
 
 def test_jinf_vs_minsquare(corpus_graphs, random_graphs_9):

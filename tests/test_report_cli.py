@@ -1,11 +1,13 @@
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
 from graphprod.cli import main
 from graphprod.corpus import CORPUS_NAMES, corpus_text
-from graphprod.graphs import parse_graph
+from graphprod.graphs import induced_squares, parse_graph
 from graphprod.isomorphism import canonical_key, fingerprint, piece_label
 from graphprod.relhyp import jinf
 from graphprod.report import analyze, compare, render_comparison, render_report
@@ -139,6 +141,38 @@ def test_report_matches_modules(corpus_graphs, random_graphs_9):
             for m in minsquare_subgraphs(g)]
 
 
+def _count_calls(monkeypatch, counts, module, name):
+    """Wrap module.name with a call counter in every graphprod module that
+    binds it, so calls between modules are counted too."""
+    orig = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return orig(*args)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("graphprod") \
+                and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_analyze_computes_square_data_once(monkeypatch, corpus_graphs):
+    import graphprod.graphs
+    import graphprod.squares
+
+    counts = Counter()
+    _count_calls(monkeypatch, counts, graphprod.graphs, "induced_squares")
+    _count_calls(monkeypatch, counts, graphprod.squares, "square_complete_closure")
+    rng = random.Random(55)
+    graphs = [parse_graph(corpus_text(name)) for name in CORPUS_NAMES]
+    graphs += [make_random_graph(rng, 12, name=f"C{k}") for k in range(20)]
+    for g in graphs:
+        counts.clear()
+        analyze(g)
+        assert counts["induced_squares"] == 1
+        assert counts["square_complete_closure"] <= len(induced_squares(g))
+
+
 def test_report_json_roundtrip(corpus_graphs):
     for g in corpus_graphs.values():
         text = analyze(g).to_json()
@@ -267,6 +301,15 @@ def test_cli_parse_error_exit_1(tmp_path, capsys):
 
 def test_cli_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/nope.gg"]) == 1
+
+
+def test_cli_non_utf8_file_exit_1(tmp_path, capsys):
+    bad = tmp_path / "latin.gg"
+    bad.write_bytes(b"graph G\nvertex a\xff\n")
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gpr: cannot read {bad}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_usage_error_exit_1(capsys):
