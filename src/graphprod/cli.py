@@ -8,7 +8,8 @@
     gpr flat FILE --diag1 u,v --diag2 a,b --size N
 
 Words are whitespace-separated tokens ``v`` or ``v^k``; ``e`` is the empty
-word.  Exit codes: 0 success, 1 usage or parse error, 2 resource cap hit.
+word.  Exit codes: 0 success, 1 usage, parse or bad-argument error, 2
+resource cap hit; errors are one line on stderr.
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ def _pair(g, text):
     return parts[0].strip(), parts[1].strip()
 
 
+def _checked(call, *args, **kwargs):
+    """Run a library call whose ValueError means a bad argument: a negative
+    radius or size, a point outside the ball, diagonals spanning no square."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        print(f"gpr: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
@@ -143,15 +154,16 @@ def _dispatch(args):
             if args.radius is None:
                 print("gpr: --electrified requires --radius", file=sys.stderr)
                 return 1
-            d = electrified_distance(x, y, args.radius)
+            d = _checked(electrified_distance, x, y, args.radius)
             print(f"{d.value} (radius {d.radius})")
         else:
             print(multiply(invert(x), y).length)
         return 0
     if cmd == "ball":
         g = _load(args.file)
-        ball = build_ball(g, args.radius, electrified=args.electrified,
-                          max_vertices=args.max_vertices)
+        ball = _checked(build_ball, g, args.radius,
+                        electrified=args.electrified,
+                        max_vertices=args.max_vertices)
         if args.count_only:
             print(ball.vertex_count)
         else:
@@ -163,12 +175,8 @@ def _dispatch(args):
         return 0
     if cmd == "flat":
         g = _load(args.file)
-        try:
-            grid = flat_witness(g, _pair(g, args.diag1), _pair(g, args.diag2),
-                                args.size)
-        except ValueError as exc:
-            print(f"gpr: {exc}", file=sys.stderr)
-            return 1
+        grid = _checked(flat_witness, g, _pair(g, args.diag1),
+                        _pair(g, args.diag2), args.size)
         for row in grid.all_vertices():
             print(" | ".join(format_word(nf) for nf in row))
         print(f"isometric: {grid.is_isometric()}")

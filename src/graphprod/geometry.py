@@ -11,13 +11,8 @@ square, and computes electrified distances on cone-off balls.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .graphs import is_star_of_vertex, star
 from .squares import minsquare_subgraphs
@@ -93,7 +88,6 @@ class CayleyBall:
         self.electrified = electrified
         self.cone_groups = cone_groups
         self._groups_of_vertex = groups_of_vertex
-        self._csr = None
         self._edge_hyp = None
 
     # --- basic queries ----------------------------------------------------
@@ -136,49 +130,45 @@ class CayleyBall:
 
     # --- metrics ----------------------------------------------------------
 
-    def _matrix(self):
-        if self._csr is None:
-            rows, cols = [], []
-            for (i, j) in self._edge_label:
-                rows += (i, j)
-                cols += (j, i)
-            n = self.vertex_count
-            self._csr = csr_matrix(
-                (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-        return self._csr
-
     def distances_from(self, indices=None):
         """Graph distances (plain edges, no cones) from the given source
-        indices to every ball vertex, as a float matrix (np.inf when
-        unreachable, which does not happen in a ball)."""
+        indices (all vertices by default) to every ball vertex: one list of
+        ints per source."""
         if indices is None:
-            indices = np.arange(self.vertex_count)
-        return dijkstra(self._matrix(), unweighted=True, indices=indices)
+            indices = range(self.vertex_count)
+        return [self._bfs(i, cones=False) for i in indices]
 
     def bfs_electrified(self, source):
-        """BFS distances from one vertex using plain edges plus cone cliques.
-        Each coset group is swept at most once, so the cone cliques never get
-        materialized."""
-        n = self.vertex_count
-        dist = [-1] * n
+        """BFS distances from one vertex using plain edges plus cone cliques."""
+        return self._bfs(source, cones=True)
+
+    def _bfs(self, source, cones):
+        """Breadth-first distances from one vertex over the plain edges and,
+        if `cones`, the cone cliques.  Each coset group is swept at most
+        once, so the cone cliques never get materialized."""
+        adj = self.adj
+        cone_groups = self.cone_groups
+        groups_of_vertex = self._groups_of_vertex
+        dist = [-1] * self.vertex_count
         dist[source] = 0
-        used_group = [False] * len(self.cone_groups)
-        q = deque([source])
-        while q:
-            i = q.popleft()
+        used_group = [False] * len(cone_groups)
+        queue = [source]
+        for i in queue:  # the queue grows while it is read
             d = dist[i] + 1
-            for j in self.adj[i]:
+            for j in adj[i]:
                 if dist[j] < 0:
                     dist[j] = d
-                    q.append(j)
-            for gi in self._groups_of_vertex[i]:
+                    queue.append(j)
+            if not cones:
+                continue
+            for gi in groups_of_vertex[i]:
                 if used_group[gi]:
                     continue
                 used_group[gi] = True
-                for j in self.cone_groups[gi]:
+                for j in cone_groups[gi]:
                     if dist[j] < 0:
                         dist[j] = d
-                        q.append(j)
+                        queue.append(j)
         return dist
 
     # --- hyperplanes --------------------------------------------------------
@@ -207,39 +197,26 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     verts = [ident]
     index = {ident.sylls: 0}
     edge_label = {}
-    gens = [(v, e) for v in range(graph.n)
-            for e in range(1, graph._orders_ix[v])]
-    names = graph.vertices
-    level_start = 0
-    for level in range(radius):
-        level_end = len(verts)
-        if level_start == level_end:
-            break
-        for ix in range(level_start, level_end):
-            x = verts[ix]
-            for v, e in gens:
-                y = multiply(x, NormalForm(graph, ((v, e),)))
-                if y.length > radius:
-                    continue
-                iy = index.get(y.sylls)
-                if iy is None:
-                    if len(verts) >= max_vertices:
-                        raise BallCapExceeded(max_vertices, level)
-                    iy = len(verts)
-                    verts.append(y)
-                    index[y.sylls] = iy
-                key = (ix, iy) if ix < iy else (iy, ix)
-                edge_label.setdefault(key, names[v])
-        level_start = level_end
-    # one more sweep so edges between outermost vertices are present
-    for ix in range(level_start, len(verts)):
-        x = verts[ix]
-        for v, e in gens:
-            y = multiply(x, NormalForm(graph, ((v, e),)))
+    gens = [(graph.vertices[v], NormalForm(graph, ((v, e),)))
+            for v in range(graph.n) for e in range(1, graph._orders_ix[v])]
+    # One breadth-first sweep over the growing vertex list.  Vertices come
+    # level by level, so every vertex within the radius exists before the
+    # outermost level is swept, and that level only adds the edges among
+    # existing vertices.
+    for ix, x in enumerate(verts):
+        for name, s in gens:
+            y = multiply(x, s)
+            if y.length > radius:
+                continue
             iy = index.get(y.sylls)
-            if iy is not None:
-                key = (ix, iy) if ix < iy else (iy, ix)
-                edge_label.setdefault(key, names[v])
+            if iy is None:
+                if len(verts) >= max_vertices:
+                    raise BallCapExceeded(max_vertices, x.length)
+                iy = len(verts)
+                verts.append(y)
+                index[y.sylls] = iy
+            key = (ix, iy) if ix < iy else (iy, ix)
+            edge_label.setdefault(key, name)
     adj = [[] for _ in verts]
     for (i, j) in edge_label:
         adj[i].append(j)

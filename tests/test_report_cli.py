@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +274,44 @@ def test_cli_ball_cap_exit_code(corpus_files, capsys):
     assert main(["ball", corpus_files["C5"], "--radius", "9",
                  "--max-vertices", "30", "--count-only"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("gpr: ") and len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_cli_ball_negative_radius_exit_1(corpus_files, capsys):
+    assert main(["ball", corpus_files["SQ4"], "--radius", "-1"]) == 1
+    assert "radius must be >= 0" in _one_line_error(capsys)
+
+
+def test_cli_distance_electrified_negative_radius_exit_1(corpus_files, capsys):
+    assert main(["distance", corpus_files["EDGEW"], "--from", "e", "--to", "w",
+                 "--electrified", "--radius", "-1"]) == 1
+    assert "radius must be >= 0" in _one_line_error(capsys)
+
+
+def test_cli_distance_electrified_outside_ball_exit_1(corpus_files, capsys):
+    assert main(["distance", corpus_files["EDGEW"], "--from", "e",
+                 "--to", "w c w", "--electrified", "--radius", "1"]) == 1
+    assert "outside the radius-1 ball" in _one_line_error(capsys)
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    # a fresh interpreter: the test process itself may have loaded them
+    code = ("import sys\n"
+            "import graphprod.cli\n"
+            "from graphprod import build_ball, corpus\n"
+            "ball = build_ball(corpus.load('SQ4'), 2, electrified=True)\n"
+            "ball.distances_from([0])\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_flat(corpus_files, capsys):
