@@ -156,6 +156,9 @@ def _dispatch(args):
                 return 1
             d = _checked(electrified_distance, x, y, args.radius)
             print(f"{d.value} (radius {d.radius})")
+        elif args.radius is not None:
+            print("gpr: --radius requires --electrified", file=sys.stderr)
+            return 1
         else:
             print(multiply(invert(x), y).length)
         return 0

@@ -14,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import is_star_of_vertex, star
+from .graphs import is_star_of_vertex
 from .squares import minsquare_subgraphs
 from .words import (
     NormalForm,
+    _coset_rep,
     format_word,
     identity,
     invert,
     multiply,
     reduce_word,
-    strip_suffix,
     Word,
 )
 
@@ -176,8 +176,10 @@ class CayleyBall:
     def edge_hyperplanes(self):
         """Map each plain edge (i, j) to its HyperplaneId (cached)."""
         if self._edge_hyp is None:
+            verts = self.verts
+            masks = _star_masks(self.graph)
             self._edge_hyp = {
-                (i, j): hyperplane_of_edge(self.verts[i], lab)
+                (i, j): HyperplaneId(lab, _coset_rep(verts[i], masks[lab]))
                 for (i, j), lab in self._edge_label.items()}
         return self._edge_hyp
 
@@ -193,6 +195,8 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     the last completed radius) if the vertex count passes max_vertices."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be >= 1")
     ident = identity(graph)
     verts = [ident]
     index = {ident.sylls: 0}
@@ -206,7 +210,7 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     for ix, x in enumerate(verts):
         for name, s in gens:
             y = multiply(x, s)
-            if y.length > radius:
+            if len(y.sylls) > radius:
                 continue
             iy = index.get(y.sylls)
             if iy is None:
@@ -227,8 +231,9 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     if electrified:
         groups = {}
         for mi, lam in enumerate(minsquare_subgraphs(graph)):
+            mask = lam.mask
             for i, x in enumerate(verts):
-                rep, _ = strip_suffix(x, lam)
+                rep = _coset_rep(x, mask)
                 groups.setdefault((mi, rep.sylls), []).append(i)
         cone_groups = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
         gov = [[] for _ in verts]
@@ -244,12 +249,18 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
 # hyperplanes
 
 
+def _star_masks(g):
+    """Vertex name -> bitmask of its star (the vertex and its neighbours)."""
+    adj = g._adj_bits
+    return {name: adj[v] | 1 << v for v, name in enumerate(g.vertices)}
+
+
 def hyperplane_of_edge(x, u):
     """Hyperplane dual to the u-labelled edges at x.  The carrier is the
     coset x<star(u)>, stored by its minimal-length representative."""
     g = x.graph
-    rep, _ = strip_suffix(x, star(g, u))
-    return HyperplaneId(label=u, coset=rep)
+    v = g.index(u)
+    return HyperplaneId(label=u, coset=_coset_rep(x, g._adj_bits[v] | 1 << v))
 
 
 def separating_hyperplanes(x, y):
@@ -259,11 +270,13 @@ def separating_hyperplanes(x, y):
     w = multiply(invert(x), y)
     g = x.graph
     names = g.vertices
+    masks = _star_masks(g)
     out = []
     cur = x
-    for v, e in w.sylls:
-        out.append(hyperplane_of_edge(cur, names[v]))
-        cur = multiply(cur, NormalForm(g, ((v, e),)))
+    for s in w.sylls:
+        name = names[s[0]]
+        out.append(HyperplaneId(name, _coset_rep(cur, masks[name])))
+        cur = multiply(cur, NormalForm(g, (s,)))
     return tuple(out)
 
 

@@ -15,6 +15,17 @@ position the vertex is the least (in declaration order) among all syllables
 that can be shuffled there.  Two elements are equal iff their normal forms
 are equal, and the syllable count of the normal form is the word-metric
 length of the element.
+
+This canonical representative is the lexicographic normal form of a trace
+(Anisimov and Knuth; Diekert and Rozenberg, *The Book of Traces*, 1995).
+One routine maintains it: `_push` multiplies a canonical syllable list by
+one syllable and leaves it canonical, in time linear in the list.  It
+inserts the new syllable after the last syllable that does not commute with
+it, before the first later one with a larger vertex; amalgamation keeps the
+vertex and cancellation removes a syllable that commutes with everything
+after it, so neither reorders the rest.  `multiply` pushes the syllables of
+its right operand onto its left one; `invert` and the non-canonical half of
+`head` and `strip_suffix` push their syllables into an empty list.
 """
 
 from __future__ import annotations
@@ -116,57 +127,41 @@ def format_word(w):
 # the engine proper: syllables as (vertex index, exponent) pairs
 
 
-def _push(g, out, v, e):
-    """Multiply the reduced syllable list `out` on the right by one non-identity
-    syllable, keeping it reduced.  Deleting a cancelled syllable cannot expose
-    a new amalgamation: every syllable scanned past commutes with it, so it
-    never separated an amalgamable pair."""
+def _push(g, out, s):
+    """Multiply the canonical syllable list `out` on the right by one
+    non-identity syllable `s = (v, e)`, keeping `out` canonical.
+
+    The backward scan passes the syllables that commute with v and stops at
+    i, the last one that does not.  A syllable at v met on the way absorbs s
+    (amalgamation) or, if the exponents cancel, is deleted.  Otherwise s is
+    inserted at the first position j > i whose vertex is larger than v, or
+    at the end: s commutes with everything after i, the syllables it lands
+    behind have smaller vertices and the one it lands in front of a larger
+    one, which is where the least-vertex-first order puts it.  Amalgamation
+    keeps the vertex, and the deleted syllable commutes with everything
+    after it, so neither reorders the rest, and a deletion cannot expose a
+    new amalgamation.  The tuple `s` itself is stored, so normal forms built
+    from other normal forms share their syllables."""
+    v = s[0]
+    vbit = 1 << v
     adj = g._adj_bits
     i = len(out) - 1
+    j = i + 1
     while i >= 0:
         u, f = out[i]
         if u == v:
-            ne = (f + e) % g._orders_ix[v]
+            ne = (f + s[1]) % g._orders_ix[v]
             if ne:
                 out[i] = (u, ne)
             else:
                 del out[i]
             return
-        if not (adj[u] >> v) & 1:
+        if not adj[u] & vbit:
             break
+        if u > v:
+            j = i
         i -= 1
-    out.append((v, e))
-
-
-def _canonical(g, sylls):
-    """Lexicographically least shuffle of a reduced syllable list: repeatedly
-    emit the least-vertex syllable among those not blocked by an earlier
-    non-commuting one."""
-    n = len(sylls)
-    if n < 2:
-        return list(sylls)
-    adj = g._adj_bits
-    used = [False] * n
-    out = []
-    for _ in range(n):
-        best = -1
-        for i in range(n):
-            if used[i]:
-                continue
-            v = sylls[i][0]
-            blocked = False
-            for j in range(i):
-                if used[j]:
-                    continue
-                u = sylls[j][0]
-                if u == v or not (adj[u] >> v) & 1:
-                    blocked = True
-                    break
-            if not blocked and (best < 0 or v < sylls[best][0]):
-                best = i
-        used[best] = True
-        out.append(sylls[best])
-    return out
+    out.insert(j, s)
 
 
 class NormalForm:
@@ -228,16 +223,13 @@ class NormalForm:
         return format_word(self)
 
 
-def _make_nf(g, syll_list):
-    return NormalForm(g, tuple(_canonical(g, syll_list)))
-
-
-def _check_same_graph(*objs):
-    g = objs[0].graph
-    for o in objs[1:]:
-        if o.graph != g:
-            raise GraphMismatchError("operands over different graphs")
-    return g
+def _make_nf(g, sylls):
+    """Normal form of a reduced syllable list in any order (a reversal, or
+    the upper part of a split), built by pushing its syllables in turn."""
+    out = []
+    for s in sylls:
+        _push(g, out, s)
+    return NormalForm(g, tuple(out))
 
 
 def identity(graph):
@@ -264,19 +256,22 @@ def reduce_word(w):
     3
     """
     g = w.graph
+    index = g._index
     out = []
     for v, e in w.syllables:
         if e:
-            _push(g, out, g._index[v], e)
-    return _make_nf(g, out)
+            _push(g, out, (index[v], e))
+    return NormalForm(g, tuple(out))
 
 
 def multiply(x, y):
-    g = _check_same_graph(x, y)
+    g = x.graph
+    if y.graph is not g and y.graph != g:
+        raise GraphMismatchError("operands over different graphs")
     out = list(x.sylls)
-    for v, e in y.sylls:
-        _push(g, out, v, e)
-    return _make_nf(g, out)
+    for s in y.sylls:
+        _push(g, out, s)
+    return NormalForm(g, tuple(out))
 
 
 def invert(x):
@@ -294,24 +289,24 @@ def parabolic_membership(x, s):
     return x.support <= s.members
 
 
-def _dependent(g, u, v):
-    return u == v or not (g._adj_bits[u] >> v) & 1
-
-
-def _head_positions(g, sylls, allowed_mask):
-    """Positions forming the maximal prefix supported in `allowed_mask`:
-    a syllable belongs iff its vertex is allowed and every earlier
-    non-commuting syllable belongs."""
-    in_head = []
-    for i, (v, _) in enumerate(sylls):
-        ok = (allowed_mask >> v) & 1 == 1
-        if ok:
-            for j in range(i):
-                if not in_head[j] and _dependent(g, sylls[j][0], v):
-                    ok = False
-                    break
-        in_head.append(ok)
-    return in_head
+def _split_head(g, sylls, allowed_mask):
+    """Split a normal form's syllables into the maximal prefix supported in
+    `allowed_mask` and the rest: a syllable belongs to the prefix iff its
+    vertex is allowed and no earlier syllable outside the prefix fails to
+    commute with it.  The prefix is closed under going back along
+    non-commuting pairs, so as a subsequence of a canonical list it is
+    already canonical; the rest is not in general."""
+    adj = g._adj_bits
+    hd, rest = [], []
+    outside = 0  # vertices of the syllables kept out so far
+    for s in sylls:
+        v = s[0]
+        if (allowed_mask >> v) & 1 and not outside & ~adj[v]:
+            hd.append(s)
+        else:
+            outside |= 1 << v
+            rest.append(s)
+    return hd, rest
 
 
 def head(x, s):
@@ -321,27 +316,23 @@ def head(x, s):
     if x.graph != s.graph:
         raise GraphMismatchError("operands over different graphs")
     g = x.graph
-    mask = s.mask
-    flags = _head_positions(g, x.sylls, mask)
-    hd = [sy for sy, f in zip(x.sylls, flags) if f]
-    tl = [sy for sy, f in zip(x.sylls, flags) if not f]
-    return _make_nf(g, hd), _make_nf(g, tl)
+    hd, tl = _split_head(g, x.sylls, s.mask)
+    return NormalForm(g, tuple(hd)), _make_nf(g, tl)
 
 
-def _suffix_positions(g, sylls, allowed_mask):
-    """Mirror of _head_positions: the maximal suffix supported in the mask."""
-    n = len(sylls)
-    in_suf = [False] * n
-    for i in range(n - 1, -1, -1):
-        v = sylls[i][0]
-        ok = (allowed_mask >> v) & 1 == 1
-        if ok:
-            for j in range(i + 1, n):
-                if not in_suf[j] and _dependent(g, sylls[j][0], v):
-                    ok = False
-                    break
-        in_suf[i] = ok
-    return in_suf
+def _split_suffix(g, sylls, allowed_mask):
+    """Mirror of _split_head: (rest, maximal suffix supported in the mask).
+    Here the rest is the part closed under going back, so it is the
+    canonical one."""
+    suf, pre = _split_head(g, sylls[::-1], allowed_mask)
+    return pre[::-1], suf[::-1]
+
+
+def _coset_rep(x, allowed_mask):
+    """The minimal-length representative of the coset x<s>, for s given by
+    its vertex mask: the prefix half of strip_suffix alone."""
+    pre, _ = _split_suffix(x.graph, x.sylls, allowed_mask)
+    return NormalForm(x.graph, tuple(pre))
 
 
 def strip_suffix(x, s):
@@ -350,16 +341,13 @@ def strip_suffix(x, s):
     if x.graph != s.graph:
         raise GraphMismatchError("operands over different graphs")
     g = x.graph
-    flags = _suffix_positions(g, x.sylls, s.mask)
-    pre = [sy for sy, f in zip(x.sylls, flags) if not f]
-    suf = [sy for sy, f in zip(x.sylls, flags) if f]
-    return _make_nf(g, pre), _make_nf(g, suf)
+    pre, suf = _split_suffix(g, x.sylls, s.mask)
+    return NormalForm(g, tuple(pre)), _make_nf(g, suf)
 
 
 def project_to_parabolic(x, g_elt, s):
     """Gate of x in the coset g<s>: the unique member of the coset closest to
     x, namely g * head(g^-1 x, s)."""
-    _check_same_graph(x, g_elt)
     if x.graph != s.graph:
         raise GraphMismatchError("operands over different graphs")
     hd, _ = head(multiply(invert(g_elt), x), s)

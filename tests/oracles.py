@@ -3,8 +3,9 @@
 Everything here is deliberately written against the definitions, not against
 the library's algorithms: squares by scanning all 4-subsets, closures by
 intersecting all square-complete supersets, minsquare pieces by enumerating
-every subset, hyperplanes by union-find over ball edges, and ball growth by
-an exact rational generating function over the clique complex.
+every subset, hyperplanes by union-find over ball edges, ball growth by
+an exact rational generating function over the clique complex, and
+canonical normal forms by a greedy re-sort of the whole word.
 """
 
 from fractions import Fraction
@@ -245,6 +246,66 @@ def growth_counts(g, radius):
     counts = [int(c) for c in series]
     assert all(Fraction(c) == s for c, s in zip(counts, series))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# reduced words move by move, canonical forms by greedy re-sorting
+
+
+def brute_reduce(g, sylls):
+    """Reduce a syllable list by the elementary moves, one at a time until
+    none applies: drop identity syllables, and merge two syllables at one
+    vertex whenever every syllable between them commutes with it."""
+    adj = g._adj_bits
+    w = [s for s in sylls if s[1]]
+    moved = True
+    while moved:
+        moved = False
+        for j in range(len(w)):
+            v = w[j][0]
+            for i in range(j - 1, -1, -1):
+                u = w[i][0]
+                if u == v:
+                    e = (w[i][1] + w[j][1]) % g._orders_ix[v]
+                    w[i:j + 1] = ([(v, e)] if e else []) + w[i + 1:j]
+                    moved = True
+                    break
+                if not (adj[u] >> v) & 1:
+                    break
+            if moved:
+                break
+    return w
+
+
+def brute_canonical(g, sylls):
+    """Lexicographically least shuffle of a reduced syllable list: repeatedly
+    emit the least-vertex syllable among those not blocked by an earlier
+    non-commuting one."""
+    n = len(sylls)
+    if n < 2:
+        return list(sylls)
+    adj = g._adj_bits
+    used = [False] * n
+    out = []
+    for _ in range(n):
+        best = -1
+        for i in range(n):
+            if used[i]:
+                continue
+            v = sylls[i][0]
+            blocked = False
+            for j in range(i):
+                if used[j]:
+                    continue
+                u = sylls[j][0]
+                if u == v or not (adj[u] >> v) & 1:
+                    blocked = True
+                    break
+            if not blocked and (best < 0 or v < sylls[best][0]):
+                best = i
+        used[best] = True
+        out.append(sylls[best])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,18 @@ def test_cli_distance_electrified_outside_ball_exit_1(corpus_files, capsys):
     assert "outside the radius-1 ball" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_cli_ball_nonpositive_cap_exit_1(corpus_files, capsys, cap):
+    assert main(["ball", corpus_files["C5"], "--radius", "1", "--max-vertices", cap]) == 1
+    assert "max_vertices must be >= 1" in _one_line_error(capsys)
+
+
+def test_cli_distance_radius_without_electrified_exit_1(corpus_files, capsys):
+    assert main(["distance", corpus_files["C5"], "--from", "e", "--to", "a",
+                 "--radius", "3"]) == 1
+    assert "--radius requires --electrified" in _one_line_error(capsys)
+
+
 def test_cli_imports_neither_numpy_nor_scipy():
     # a fresh interpreter: the test process itself may have loaded them
     code = ("import sys\n"

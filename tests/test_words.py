@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphprod.graphs import GraphMismatchError, parse_graph
+from graphprod.graphs import GraphMismatchError, SimplicialGraph, parse_graph
 from graphprod.words import (
     Word,
     WordParseError,
@@ -18,7 +20,7 @@ from graphprod.words import (
     strip_suffix,
 )
 
-from oracles import make_random_graph
+from oracles import brute_canonical, brute_reduce, make_random_graph
 
 
 def rw(g, text):
@@ -248,3 +250,125 @@ def test_normal_form_hashing(corpus_graphs):
     sq4 = corpus_graphs["SQ4"]
     seen = {rw(sq4, "a b"), rw(sq4, "b a"), rw(sq4, "a c")}
     assert len(seen) == 2
+
+
+# --- differential test against the brute-force re-sort -------------------------------
+
+
+def _brute_nf(g, sylls):
+    return tuple(brute_canonical(g, brute_reduce(g, list(sylls))))
+
+
+def _subsequence_of(part, x):
+    """The syllables of `part` must be tuple objects of x, in x's order; the
+    canonical order of that subsequence is what `part` must hold."""
+    ids = {id(sy) for sy in part.sylls}
+    assert len(ids) == part.length
+    picked = [sy for sy in x.sylls if id(sy) in ids]
+    assert len(picked) == part.length
+    return tuple(brute_canonical(part.graph, picked))
+
+
+def _geodesic_word(g, rng, length):
+    """A raw word of up to `length` syllables with no reduction at all: each
+    random syllable is kept only if it makes the element longer."""
+    word, x = [], identity(g)
+    for _ in range(4 * length):
+        if len(word) == length:
+            break
+        v = rng.choice(g.vertices)
+        syl = (v, rng.randint(1, g.order(v) - 1))
+        y = multiply(x, reduce_word(Word(g, [syl])))
+        if y.length > x.length:
+            word.append(syl)
+            x = y
+    return word
+
+
+def test_canonical_forms_match_brute_oracle():
+    # raw random words exercise cancellation and amalgamation, geodesic words
+    # the long forms (up to 120 syllables) of the ball workload
+    rng = random.Random(3141)
+    for k in range(24):
+        g = make_random_graph(rng, 8, max_order=4, name=f"B{k}")
+        ix, ords = g._index, g._orders_ix
+        raw = [[(v, rng.randint(0, g.order(v) - 1))
+                for v in (rng.choice(g.vertices) for _ in range(rng.randint(0, 120)))]
+               for _ in range(2)]
+        words = raw + [_geodesic_word(g, rng, rng.randint(0, 120)) for _ in range(2)]
+        elts = []
+        for w in words:
+            x = reduce_word(Word(g, w))
+            assert x.sylls == _brute_nf(g, [(ix[v], e) for v, e in w])
+            elts.append(x)
+        for x, y in zip(elts, elts[1:] + elts[:1]):
+            assert multiply(x, y).sylls == _brute_nf(g, x.sylls + y.sylls)
+            inv = [(v, ords[v] - e) for v, e in reversed(x.sylls)]
+            assert invert(x).sylls == _brute_nf(g, inv)
+            s = g.subset({v for v in g.vertices if rng.random() < 0.5})
+            for split in (head, strip_suffix):
+                first, second = split(x, s)
+                assert first.sylls == _subsequence_of(first, x)
+                assert second.sylls == _subsequence_of(second, x)
+                assert first.length + second.length == x.length
+            hd, _ = head(multiply(invert(y), x), s)
+            assert project_to_parabolic(x, y, s).sylls == _brute_nf(g, y.sylls + hd.sylls)
+
+
+# --- properties (hypothesis) -------------------------------------------------------------
+
+_PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
+                              deadline=None)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 6))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = list(combinations(verts, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    orders = {v: draw(st.integers(2, 4)) for v in verts}
+    return SimplicialGraph("P", verts, [p for p, k in zip(pairs, keep) if k], orders)
+
+
+def _raw_words(g, max_len=16):
+    syll = st.tuples(st.sampled_from(g.vertices), st.integers(0, 3))
+    return st.lists(syll, max_size=max_len).map(
+        lambda sylls: [(v, e % g.order(v)) for v, e in sylls])
+
+
+def _elements(draw, g):
+    return reduce_word(Word(g, draw(_raw_words(g))))
+
+
+@_PROPERTY_SETTINGS
+@given(st.data())
+def test_group_axioms_property(data):
+    g = data.draw(small_graphs())
+    x, y, z = (_elements(data.draw, g) for _ in range(3))
+    e = identity(g)
+    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+    assert multiply(x, e) == x == multiply(e, x)
+    assert multiply(x, ~x) == e == multiply(~x, x)
+
+
+@_PROPERTY_SETTINGS
+@given(st.data())
+def test_reduce_of_normal_form_word_property(data):
+    g = data.draw(small_graphs())
+    nf = _elements(data.draw, g)
+    assert reduce_word(nf.word) == nf
+
+
+@_PROPERTY_SETTINGS
+@given(st.data())
+def test_commuting_transposition_keeps_normal_form_property(data):
+    g = data.draw(small_graphs())
+    word = data.draw(_raw_words(g))
+    swaps = [i for i in range(len(word) - 1)
+             if word[i][0] != word[i + 1][0] and g.adjacent(word[i][0], word[i + 1][0])]
+    if not swaps:
+        return
+    i = data.draw(st.sampled_from(swaps))
+    swapped = word[:i] + [word[i + 1], word[i]] + word[i + 2:]
+    assert reduce_word(Word(g, swapped)) == reduce_word(Word(g, word))
