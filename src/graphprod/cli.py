@@ -9,12 +9,15 @@
 
 Words are whitespace-separated tokens ``v`` or ``v^k``; ``e`` is the empty
 word.  Exit codes: 0 success, 1 usage, parse or bad-argument error, 2
-resource cap hit; errors are one line on stderr.
+resource cap hit; errors are one line on stderr.  When the reader of
+standard output goes away before everything is written (``gpr ball ... |
+head -1``), gpr stops quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .geometry import (
@@ -124,10 +127,19 @@ def _checked(call, *args, **kwargs):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except BallCapExceeded as exc:
         print(f"gpr: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone; send what is still buffered to devnull so
+        # the interpreter's final flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

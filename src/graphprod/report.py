@@ -17,7 +17,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__
-from .isomorphism import MAX_EXACT_VERTICES, canonical_key, fingerprint, piece_label
+from .isomorphism import (
+    MAX_EXACT_VERTICES,
+    _piece,
+    canonical_key,
+    fingerprint,
+    piece_label,
+)
 from .geometry import is_essential
 from .relhyp import jinf
 from .squares import (
@@ -203,18 +209,26 @@ def _has_sc_order2_square(g):
                for q, m, c in zip(core.squares, core.masks, core.closures))
 
 
-def _piece_multiset(pieces, exact=True):
+def _piece_multiset(pieces, shapes, exact=True):
     """(Counter keyed by isomorphism class, display string, exact flag).
     Keys are exact canonical keys when `exact` is set and every piece is
-    small enough, degree/order fingerprints otherwise."""
+    small enough, degree/order fingerprints otherwise.  `shapes` maps a
+    piece's local (orders, adjacency) to its canonical key; the caller keeps
+    one dict per comparison, so each distinct labelled piece is keyed once."""
     exact = exact and all(len(p) <= MAX_EXACT_VERTICES for p in pieces)
-    keyfn = canonical_key if exact else fingerprint
     counter = Counter()
     labels = {}
     for p in pieces:
-        k = keyfn(p)
+        if exact:
+            shape = _piece(p)
+            k = shapes.get(shape)
+            if k is None:
+                k = shapes[shape] = canonical_key(p)
+        else:
+            k = fingerprint(p)
         counter[k] += 1
-        labels.setdefault(k, piece_label(p))
+        if k not in labels:
+            labels[k] = piece_label(p)
     shown = sorted(f"{counter[k]} x {labels[k]}" for k in counter)
     return counter, ("; ".join(shown) or "(none)"), exact
 
@@ -247,15 +261,16 @@ def compare(ga, gb):
     if ea != eb:
         diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
 
+    shapes = {}
     for name, pieces_a, pieces_b in (
             ("minsquare_types", minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
             ("jinf_types", jinf(ga).members, jinf(gb).members)):
-        ca, da, exa = _piece_multiset(pieces_a)
-        cb, db, exb = _piece_multiset(pieces_b)
+        ca, da, exa = _piece_multiset(pieces_a, shapes)
+        cb, db, exb = _piece_multiset(pieces_b, shapes)
         if exa != exb:
             # one side degraded: compare both by fingerprints for soundness
-            ca, da, exa = _piece_multiset(pieces_a, exact=False)
-            cb, db, exb = _piece_multiset(pieces_b, exact=False)
+            ca, da, exa = _piece_multiset(pieces_a, shapes, exact=False)
+            cb, db, exb = _piece_multiset(pieces_b, shapes, exact=False)
         if ca != cb:
             diffs.append((name, da, db))
         elif not exa:

@@ -4,8 +4,9 @@ Everything here is deliberately written against the definitions, not against
 the library's algorithms: squares by scanning all 4-subsets, closures by
 intersecting all square-complete supersets, minsquare pieces by enumerating
 every subset, hyperplanes by union-find over ball edges, ball growth by
-an exact rational generating function over the clique complex, and
-canonical normal forms by a greedy re-sort of the whole word.
+an exact rational generating function over the clique complex,
+canonical normal forms by a greedy re-sort of the whole word, and canonical
+graph keys by an individualization-refinement search with no pruning.
 """
 
 from fractions import Fraction
@@ -319,3 +320,72 @@ def make_random_graph(rng, max_n, max_order=3, name="R", p=None):
     edges = [(u, v) for u, v in combinations(verts, 2) if rng.random() < prob]
     orders = {v: rng.randint(2, max_order) for v in verts if rng.random() < 0.3}
     return SimplicialGraph(name, verts, edges, orders)
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling by plain individualization-refinement, no pruning
+
+
+def _brute_piece(s):
+    g = s.graph
+    verts = s.sorted
+    pos = {v: i for i, v in enumerate(verts)}
+    orders = [g.order(v) for v in verts]
+    adj = [0] * len(verts)
+    for u, v in combinations(verts, 2):
+        if g.adjacent(u, v):
+            adj[pos[u]] |= 1 << pos[v]
+            adj[pos[v]] |= 1 << pos[u]
+    return orders, adj
+
+
+def _refine(orders, adj, colors):
+    n = len(orders)
+    while True:
+        sig = []
+        for i in range(n):
+            nb = sorted(colors[j] for j in range(n) if (adj[i] >> j) & 1)
+            sig.append((colors[i], tuple(nb)))
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        new = [ranks[s] for s in sig]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _canon(orders, adj, colors):
+    n = len(orders)
+    colors = _refine(orders, adj, colors)
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    target = None
+    for c in sorted(classes):
+        if len(classes[c]) > 1:
+            target = classes[c]
+            break
+    if target is None:
+        perm = sorted(range(n), key=lambda i: colors[i])
+        bits = 0
+        k = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                if (adj[perm[a]] >> perm[b]) & 1:
+                    bits |= 1 << k
+                k += 1
+        return tuple(orders[p] for p in perm), bits
+    best = None
+    for i in target:
+        branched = list(colors)
+        branched[i] = -1  # individualize: forced least colour
+        key = _canon(orders, adj, branched)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def brute_canonical_key(s):
+    """Least leaf key of the whole individualization-refinement tree of the
+    induced subgraph, every branch explored (factorial on symmetric pieces)."""
+    orders, adj = _brute_piece(s)
+    return _canon(orders, adj, list(orders))

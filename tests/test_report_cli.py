@@ -222,6 +222,33 @@ def test_compare_symmetric(corpus_graphs, random_graphs_9):
         assert set(v1.distinguishing_invariants) == flipped
 
 
+def test_compare_keys_each_distinct_piece_once(monkeypatch):
+    import graphprod.isomorphism
+    from graphprod.isomorphism import _piece
+
+    rng = random.Random(8080)
+    graphs = [make_random_graph(rng, 60, max_order=2, name=f"S{k}", p=0.08)
+              for k in range(12)]
+    counts = Counter()
+    _count_calls(monkeypatch, counts, graphprod.isomorphism, "canonical_key")
+    _count_calls(monkeypatch, counts, graphprod.isomorphism, "piece_label")
+    checked = 0
+    for ga, gb in zip(graphs[::2], graphs[1::2]):
+        sides = [minsquare_subgraphs(ga), minsquare_subgraphs(gb),
+                 jinf(ga).members, jinf(gb).members]
+        if any(len(p) > 12 for side in sides for p in side):
+            continue
+        counts.clear()
+        compare(ga, gb)
+        shapes = {_piece(p) for side in sides for p in side}
+        assert counts["canonical_key"] == len(shapes)
+        # one label per distinct key of each of the four multisets
+        assert counts["piece_label"] == sum(
+            len({canonical_key(p) for p in side}) for side in sides)
+        checked += sum(map(len, sides)) > len(shapes)  # repeats were skipped
+    assert checked >= 5
+
+
 def test_compare_fingerprint_degrade():
     # pieces above the exact-labeling cap with equal fingerprints: the piece
     # invariants must stay silent and the notes must say why
@@ -343,6 +370,43 @@ def test_cli_analyze_json(corpus_files, capsys):
 def test_cli_compare_text(corpus_files, capsys):
     assert main(["compare", corpus_files["SQ4"], corpus_files["SQ4"]]) == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+def _gpr(*args, **kwargs):
+    """`python -m graphprod.cli ARGS` in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.Popen([sys.executable, "-m", "graphprod.cli", *args],
+                            env=dict(os.environ, PYTHONPATH=str(src)), **kwargs)
+
+
+def test_cli_compare_symmetric_pieces_at_the_cap(tmp_path):
+    # K6,6 is its own 12-vertex minsquare piece: an unpruned canonical
+    # labelling search does not finish on it
+    left = [f"l{i}" for i in range(6)]
+    right = [f"r{i}" for i in range(6)]
+    edges = "".join(f"edge {u} {w}\n" for u in left for w in right)
+    paths = []
+    interleaved = [v for pair in zip(left, right) for v in pair]
+    for name, verts in (("KA", left + right), ("KB", interleaved)):
+        p = tmp_path / f"{name}.gg"
+        p.write_text(f"graph {name}\n" + "".join(f"vertex {v}\n" for v in verts) + edges)
+        paths.append(str(p))
+    proc = _gpr("compare", *paths, "--json", stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(out)["verdict"] == "inconclusive"
+
+
+def test_cli_closed_pipe_no_traceback(corpus_files):
+    # about 118 kB of output: far more than a pipe buffers, so gpr is still
+    # writing when the reader goes away
+    proc = _gpr("ball", corpus_files["C5"], "--radius", "8",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"vertices ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 def test_cli_parse_error_exit_1(tmp_path, capsys):
