@@ -6,7 +6,9 @@ the (cyclic model of the) group attached to that vertex.  Vertex declaration
 order is significant: it is the total order used for every canonical form
 downstream (normal forms, coset representatives, square enumeration), so two
 files declaring the same graph with different vertex orders produce different
-canonical output.
+canonical output.  Vertex i in that order is bit i of every vertex set:
+the graph keeps each neighbourhood as a bitmask, and a VertexSet is one
+bitmask, its names and frozensets derived from it on demand.
 
 The .gg format is line oriented, with ``#`` starting a comment:
 
@@ -21,8 +23,6 @@ be at least 2.  Vertices must be declared before edges mention them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from itertools import combinations
 
 __all__ = [
     "GGParseError",
@@ -66,8 +66,8 @@ class SimplicialGraph:
     2
     """
 
-    __slots__ = ("name", "vertices", "_orders", "_orders_ix", "_index", "_nbrs",
-                 "_adj_bits", "_edges", "_hash", "_core")
+    __slots__ = ("name", "vertices", "_orders_ix", "_index", "_adj_bits",
+                 "_edges", "_hash", "_core")
 
     def __init__(self, name, vertices, edges=(), orders=None):
         vertices = tuple(vertices)
@@ -103,17 +103,13 @@ class SimplicialGraph:
             edge_set.add((min(i, j), max(i, j)))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_orders", {v: orders.get(v, 2) for v in vertices})
-        object.__setattr__(self, "_orders_ix", tuple(orders.get(v, 2) for v in vertices))
+        orders_ix = tuple(orders.get(v, 2) for v in vertices)
+        edges = tuple(sorted(edge_set))
+        object.__setattr__(self, "_orders_ix", orders_ix)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj_bits", tuple(adj_bits))
-        object.__setattr__(self, "_nbrs", tuple(
-            frozenset(vertices[j] for j in range(n) if (adj_bits[i] >> j) & 1)
-            for i in range(n)))
-        object.__setattr__(self, "_edges", tuple(sorted(edge_set)))
-        object.__setattr__(self, "_hash", hash(
-            (name, vertices, tuple(sorted(edge_set)),
-             tuple(orders.get(v, 2) for v in vertices))))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_hash", hash((name, vertices, edges, orders_ix)))
         # per-graph square data, filled in on first use by graphprod.squares
         object.__setattr__(self, "_core", None)
 
@@ -133,11 +129,10 @@ class SimplicialGraph:
 
     @property
     def orders(self):
-        return dict(self._orders)
+        return dict(zip(self.vertices, self._orders_ix))
 
     def order(self, v):
-        self._check_vertex(v)
-        return self._orders[v]
+        return self._orders_ix[self.index(v)]
 
     def index(self, v):
         self._check_vertex(v)
@@ -147,13 +142,14 @@ class SimplicialGraph:
         return (self._adj_bits[self.index(u)] >> self.index(v)) & 1 == 1
 
     def neighbors(self, v):
-        return self._nbrs[self.index(v)]
+        names = self.vertices
+        return frozenset(names[i] for i in _bits(self._adj_bits[self.index(v)]))
 
     def subset(self, members):
-        return VertexSet(self, frozenset(members))
+        return VertexSet(self, members)
 
     def full_set(self):
-        return VertexSet(self, frozenset(self.vertices))
+        return _set_from_mask(self, (1 << self.n) - 1)
 
     def _check_vertex(self, v):
         if v not in self._index:
@@ -167,7 +163,7 @@ class SimplicialGraph:
         if not isinstance(other, SimplicialGraph):
             return NotImplemented
         return (self.name == other.name and self.vertices == other.vertices
-                and self._edges == other._edges and self._orders == other._orders)
+                and self._edges == other._edges and self._orders_ix == other._orders_ix)
 
     def __hash__(self):
         return self._hash
@@ -177,69 +173,83 @@ class SimplicialGraph:
                 f"{len(self._edges)} edges)")
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    """A subset of a graph's vertices, always read as the induced subgraph."""
+    """A subset of a graph's vertices, always read as the induced subgraph.
+    Immutable; held as a bitmask over the graph's vertex indices, from which
+    every other view derives."""
 
-    graph: SimplicialGraph
-    members: frozenset = field(default_factory=frozenset)
+    __slots__ = ("graph", "mask")
 
-    def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, graph, members=()):
+        mask = 0
         for v in members:
-            self.graph._check_vertex(v)
+            mask |= 1 << graph.index(v)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, *_):
+        raise AttributeError("VertexSet is immutable")
+
+    def __reduce__(self):
+        return _set_from_mask, (self.graph, self.mask)
+
+    @property
+    def members(self):
+        return frozenset(self.sorted)
 
     @property
     def sorted(self):
         """Members in the graph's declaration order."""
-        idx = self.graph._index
-        return tuple(sorted(self.members, key=idx.__getitem__))
-
-    @property
-    def mask(self):
-        idx = self.graph._index
-        m = 0
-        for v in self.members:
-            m |= 1 << idx[v]
-        return m
+        names = self.graph.vertices
+        return tuple(names[i] for i in _bits(self.mask))
 
     def __contains__(self, v):
-        return v in self.members
+        i = self.graph._index.get(v)
+        return i is not None and (self.mask >> i) & 1 == 1
 
     def __iter__(self):
         return iter(self.sorted)
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __le__(self, other):
         self._check_same(other)
-        return self.members <= other.members
+        return self.mask & ~other.mask == 0
 
     def union(self, other):
         self._check_same(other)
-        return VertexSet(self.graph, self.members | other.members)
+        return _set_from_mask(self.graph, self.mask | other.mask)
 
     def intersection(self, other):
         self._check_same(other)
-        return VertexSet(self.graph, self.members & other.members)
+        return _set_from_mask(self.graph, self.mask & other.mask)
 
     def difference(self, other):
         self._check_same(other)
-        return VertexSet(self.graph, self.members - other.members)
+        return _set_from_mask(self.graph, self.mask & ~other.mask)
 
     def _check_same(self, other):
         if self.graph != other.graph:
             raise GraphMismatchError("vertex sets over different graphs")
+
+    def __eq__(self, other):
+        if not isinstance(other, VertexSet):
+            return NotImplemented
+        return self.mask == other.mask and self.graph == other.graph
+
+    def __hash__(self):
+        return hash((self.graph, self.mask))
 
     def __repr__(self):
         return "{" + ",".join(self.sorted) + "}"
 
 
 def _set_from_mask(g, mask):
-    return VertexSet(g, frozenset(
-        g.vertices[i] for i in range(g.n) if (mask >> i) & 1))
+    s = object.__new__(VertexSet)
+    object.__setattr__(s, "graph", g)
+    object.__setattr__(s, "mask", mask)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +334,38 @@ def serialize_graph(g):
 
 def link(g, v):
     """Neighbors of v.  The star is link(v) plus v itself."""
-    return VertexSet(g, g.neighbors(v))
+    return _set_from_mask(g, g._adj_bits[g.index(v)])
 
 
 def star(g, v):
-    return VertexSet(g, g.neighbors(v) | {v})
+    return _set_from_mask(g, g._adj_bits[g.index(v)] | 1 << g.index(v))
+
+
+def _complete_mask(g, mask):
+    """True iff the vertices of mask are pairwise adjacent."""
+    adj = g._adj_bits
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~adj[low.bit_length() - 1] & ~low:
+            return False
+        rest ^= low
+    return True
 
 
 def is_complete(s):
     """True iff every pair of distinct members is adjacent.  The empty set
     and singletons count as complete."""
-    verts = s.sorted
-    g = s.graph
-    for u, v in combinations(verts, 2):
-        if not g.adjacent(u, v):
-            return False
-    return True
+    return _complete_mask(s.graph, s.mask)
 
 
-def _square_pairing(adj, quad):
-    """If the 4 indices induce a square, return (diag1, diag2) index pairs,
-    else None.  At most one pairing can satisfy the square conditions."""
-    a, b, c, d = quad
-    for (p, q, r, s) in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
-        if (adj[p] >> q) & 1 or (adj[r] >> s) & 1:
-            continue
-        if ((adj[r] >> p) & 1 and (adj[s] >> p) & 1
-                and (adj[r] >> q) & 1 and (adj[s] >> q) & 1):
-            return (p, q), (r, s)
-    return None
+def _diagonals(adj, m):
+    """The two diagonal masks of the square m: the diagonal through the
+    least vertex (that vertex and the one vertex of m not adjacent to it)
+    first."""
+    low = m & -m
+    d1 = low | (m & ~adj[low.bit_length() - 1] & ~low)
+    return d1, m ^ d1
 
 
 def _bits(mask):
@@ -410,15 +423,12 @@ def square_diagonals(s):
     each pair and the pair list in canonical order."""
     if len(s) != 4:
         raise ValueError("not a 4-element vertex set")
-    g = s.graph
-    quad = tuple(g.index(v) for v in s.sorted)
-    pairing = _square_pairing(g._adj_bits, quad)
-    if pairing is None:
+    g, m = s.graph, s.mask
+    adj = g._adj_bits
+    # four vertices each with two neighbours among the others: a 4-cycle
+    if any((adj[v] & m).bit_count() != 2 for v in _bits(m)):
         raise ValueError(f"{s!r} does not induce a square")
-    (p, q), (r, s2) = pairing
-    d1 = (g.vertices[p], g.vertices[q])
-    d2 = (g.vertices[r], g.vertices[s2])
-    return tuple(sorted((d1, d2), key=lambda pr: (g.index(pr[0]), g.index(pr[1]))))
+    return tuple(tuple(g.vertices[i] for i in _bits(d)) for d in _diagonals(adj, m))
 
 
 def clique_number(g):
@@ -443,11 +453,12 @@ def clique_number(g):
 
 
 def _merge_overlapping(g, masks):
-    """Unions of the connected components of masks, two masks being joined
-    when they share a non-adjacent vertex pair (when their intersection is
-    not complete).  Components come from a union-find over an index from
-    each non-adjacent pair, among vertices lying in two or more masks, to
-    the first mask holding it; they are listed in order of first member."""
+    """Connected components of masks, two masks being joined when they share
+    a non-adjacent vertex pair (when their intersection is not complete).
+    Returns the component index of each mask and the union of each
+    component, components listed in order of first member.  A union-find
+    over an index from each non-adjacent pair, among vertices lying in two
+    or more masks, to the first mask holding it."""
     adj = g._adj_bits
     seen = shared = 0
     for m in masks:
@@ -469,26 +480,33 @@ def _merge_overlapping(g, masks):
                 ri, rj = find(i), find(first.setdefault((u, v), i))
                 if ri != rj:
                     parent[ri] = rj
-    merged = {}
-    for i, m in enumerate(masks):
-        r = find(i)
-        merged[r] = merged.get(r, 0) | m
-    return list(merged.values())
+    slot = {}
+    comp = [slot.setdefault(find(i), len(slot)) for i in range(len(masks))]
+    unions = [0] * len(slot)
+    for k, m in zip(comp, masks):
+        unions[k] |= m
+    return comp, unions
+
+
+def _universal(g, mask):
+    """Members of mask adjacent to every other member."""
+    adj = g._adj_bits
+    out = 0
+    for v in _bits(mask):
+        if mask & ~adj[v] == 1 << v:
+            out |= 1 << v
+    return out
 
 
 def core_decomposition(s):
     """Split s = lambda0 * lambda1 where lambda1 collects the members adjacent
     (within s) to every other member.  lambda1 is complete, the join is all of
     s, and lambda0 is never the star of one of its own vertices."""
-    g = s.graph
-    members = s.members
-    lam1 = frozenset(v for v in members
-                     if members - {v} <= g.neighbors(v))
-    return VertexSet(g, members - lam1), VertexSet(g, lam1)
+    lam1 = _universal(s.graph, s.mask)
+    return _set_from_mask(s.graph, s.mask & ~lam1), _set_from_mask(s.graph, lam1)
 
 
 def is_star_of_vertex(s):
     """True iff some member's star (within s) covers all of s.
     Singletons are their own star; the empty set is not."""
-    g = s.graph
-    return any(s.members - {v} <= g.neighbors(v) for v in s.members)
+    return _universal(s.graph, s.mask) != 0

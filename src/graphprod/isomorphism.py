@@ -36,6 +36,8 @@ factorial search to a few hundred refinements (K6,6: 156; the edgeless
 
 from __future__ import annotations
 
+from .graphs import _bits
+
 __all__ = ["MAX_EXACT_VERTICES", "canonical_key", "fingerprint", "piece_label"]
 
 MAX_EXACT_VERTICES = 12
@@ -44,20 +46,14 @@ MAX_EXACT_VERTICES = 12
 def _piece(s):
     """(orders, adjacency bitmasks) of the induced subgraph as tuples, local
     index i being the i-th member in declaration order."""
-    g = s.graph
-    ix = sorted(g._index[v] for v in s.members)
+    g, mask = s.graph, s.mask
+    ix = tuple(_bits(mask))
     local = {gi: li for li, gi in enumerate(ix)}
-    mask = 0
-    for gi in ix:
-        mask |= 1 << gi
     adj = []
     for gi in ix:
-        rest = g._adj_bits[gi] & mask
         bits = 0
-        while rest:
-            low = rest & -rest
-            bits |= 1 << local[low.bit_length() - 1]
-            rest ^= low
+        for gj in _bits(g._adj_bits[gi] & mask):
+            bits |= 1 << local[gj]
         adj.append(bits)
     return tuple(g._orders_ix[gi] for gi in ix), tuple(adj)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import _bits, _merge_overlapping, _set_from_mask
+from .graphs import _bits, _complete_mask, _merge_overlapping, _set_from_mask
 from .squares import _core
 
 __all__ = ["PeripheralStructure", "cp", "jinf"]
@@ -32,18 +32,6 @@ class PeripheralStructure:
     members: tuple
     iterations: int
     status: str
-
-
-def _complete_mask(g, mask):
-    """True iff the vertices of mask are pairwise adjacent."""
-    adj = g._adj_bits
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if mask & ~adj[low.bit_length() - 1] & ~low:
-            return False
-        rest ^= low
-    return True
 
 
 def _cp_mask(g, mask):
@@ -66,7 +54,7 @@ def cp(s):
 def _step(g, collection):
     """One iteration: merge the connected components of the non-complete-
     intersection graph, then pad each union once.  Equal unions collapse."""
-    return sorted({_cp_mask(g, m) for m in _merge_overlapping(g, collection)})
+    return sorted({_cp_mask(g, m) for m in _merge_overlapping(g, collection)[1]})
 
 
 def jinf(g):
@@ -79,15 +67,16 @@ def jinf(g):
     >>> jinf(c5).status
     'hyperbolic'
     """
-    collection = sorted(_core(g).masks)
+    core = _core(g)
+    collection = sorted(row[0] for row in core.rows)
     if not collection:
         return PeripheralStructure(members=(), iterations=0, status="hyperbolic")
+    # the first step's merge is the core's components of the squares
+    nxt = sorted({_cp_mask(g, m) for m in core.unions})
     iterations = 0
-    while True:
-        nxt = _step(g, collection)
-        if nxt == collection:
-            break
+    while nxt != collection:
         collection = nxt
+        nxt = _step(g, collection)
         iterations += 1
     full = (1 << g.n) - 1
     status = "trivial" if any(m == full for m in collection) else "proper"

@@ -27,6 +27,7 @@ from .isomorphism import (
 from .geometry import is_essential
 from .relhyp import jinf
 from .squares import (
+    _closures,
     _core,
     cfs_check,
     electrification_hyperbolic,
@@ -35,7 +36,7 @@ from .squares import (
     minsquare_subgraphs,
     morse_all_hyperbolic,
 )
-from .graphs import clique_number, core_decomposition
+from .graphs import _bits, clique_number, core_decomposition
 
 __all__ = ["AnalysisReport", "ComparisonVerdict", "analyze", "compare",
            "render_report", "render_comparison"]
@@ -113,7 +114,7 @@ class AnalysisReport:
 
 def analyze(g):
     per = jinf(g)
-    n_squares = len(_core(g).squares)
+    n_squares = len(_core(g).rows)
     return AnalysisReport(
         graph_name=g.name,
         n_vertices=g.n,
@@ -204,9 +205,10 @@ def _has_join_form(g):
 
 def _has_sc_order2_square(g):
     # a square is square-complete iff its closure adds nothing
-    core = _core(g)
-    return any(c == m and all(g.order(v) == 2 for v in q)
-               for q, m, c in zip(core.squares, core.masks, core.closures))
+    core = _closures(g)
+    return any(core.closures[k] == row[0]
+               and all(g._orders_ix[i] == 2 for i in _bits(row[0]))
+               for row, k in zip(core.rows, core.comp))
 
 
 def _piece_multiset(pieces, shapes, exact=True):

@@ -8,11 +8,14 @@ procedure in this module (hyperbolicity of the electrification, the Morse
 dichotomy, the minsquare-graph test).
 
 Everything derived from a graph's squares lives in one per-graph square
-core: the squares with their masks and diagonals, the closure of every
-square and the minsquare pieces.  It is built on first use, piece by piece,
-and kept on the graph itself (``SimplicialGraph._core``), so each piece is
-computed at most once per graph and is freed together with the graph; there
-is no module-level cache.
+core, held as vertex bitmasks: the squares with their diagonals, their
+components in the diagonal-sharing graph, one closure per component and the
+minsquare masks.  It is built on first use and kept on the graph itself
+(``SimplicialGraph._core``), so each part is computed at most once per
+graph; there is no module-level cache.  The core holds no reference back to
+the graph (public functions build VertexSets from its masks on return), so
+a graph and its core are freed by reference counting as soon as nothing
+refers to the graph.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import NamedTuple
 
 from .graphs import (
     _bits,
+    _diagonals,
     _merge_overlapping,
     _set_from_mask,
     core_decomposition,
@@ -66,59 +70,24 @@ class MorseDichotomy(NamedTuple):
 
 
 class _SquareCore:
-    """The square data of one graph.
+    """The square data of one graph, as vertex bitmasks only.
 
-    squares    induced squares (VertexSets) in canonical order
-    masks      their vertex bitmasks
-    rows       (mask, diagonal 1 mask, diagonal 2 mask, diagonal 1 names,
-               diagonal 2 names, square) per square, diagonals in canonical
-               order: the table a closure scans
-    closures   square_complete_closure result mask of each square (lazy)
-    minimal    masks of the minsquare subgraphs, ascending (lazy)
-    pieces     the minsquare subgraphs as VertexSets (lazy)
+    rows      (mask, diagonal 1 mask, diagonal 2 mask) per induced square, in
+              canonical order, diagonals as in square_diagonals: the table a
+              closure scans
+    comp      component index of each square in the diagonal-sharing graph
+    unions    vertex mask of each component
+    closures  square_complete_closure result mask of each component (lazy)
+    minimal   masks of the minsquare subgraphs, ascending (lazy)
     """
 
-    __slots__ = ("graph", "squares", "masks", "rows",
-                 "_closures", "_minimal", "_pieces")
+    __slots__ = ("rows", "comp", "unions", "closures", "minimal")
 
     def __init__(self, g):
-        adj = g._adj_bits
-        names = g.vertices
-        self.graph = g
-        self.squares = induced_squares(g)
-        self.masks = tuple(q.mask for q in self.squares)
-        rows = []
-        for m, q in zip(self.masks, self.squares):
-            # the diagonal through the least vertex is that vertex and the
-            # one vertex of the square not adjacent to it
-            low = m & -m
-            d1 = low | (m & ~adj[low.bit_length() - 1] & ~low)
-            d2 = m ^ d1
-            rows.append((m, d1, d2, tuple(names[i] for i in _bits(d1)),
-                         tuple(names[i] for i in _bits(d2)), q))
-        self.rows = tuple(rows)
-        self._closures = self._minimal = self._pieces = None
-
-    @property
-    def closures(self):
-        if self._closures is None:
-            self._closures = tuple(square_complete_closure(q).result.mask
-                                   for q in self.squares)
-        return self._closures
-
-    @property
-    def minimal(self):
-        if self._minimal is None:
-            closures = sorted(set(self.closures))
-            self._minimal = tuple(c for c in closures
-                                  if not any(o != c and o & ~c == 0 for o in closures))
-        return self._minimal
-
-    @property
-    def pieces(self):
-        if self._pieces is None:
-            self._pieces = tuple(_set_from_mask(self.graph, m) for m in self.minimal)
-        return self._pieces
+        masks = [q.mask for q in induced_squares(g)]
+        self.rows = tuple((m, *_diagonals(g._adj_bits, m)) for m in masks)
+        self.comp, self.unions = _merge_overlapping(g, masks)
+        self.closures = self.minimal = None
 
 
 def _core(g):
@@ -127,6 +96,21 @@ def _core(g):
     if core is None:
         core = _SquareCore(g)
         object.__setattr__(g, "_core", core)
+    return core
+
+
+def _closures(g):
+    """The core with its closures and minsquare masks filled in.  A square
+    sharing a diagonal with one inside the current set is absorbed, so the
+    closure of any square contains its component; being monotone and
+    idempotent, it is the closure of the component's union, run once."""
+    core = _core(g)
+    if core.closures is None:
+        core.closures = [square_complete_closure(_set_from_mask(g, u)).result.mask
+                         for u in core.unions]
+        closures = sorted(set(core.closures))
+        core.minimal = tuple(c for c in closures
+                             if not any(o != c and o & ~c == 0 for o in closures))
     return core
 
 
@@ -143,7 +127,7 @@ def is_square_complete(s):
     True
     """
     mask = s.mask
-    for sq, d1, d2, _, _, _ in _core(s.graph).rows:
+    for sq, d1, d2 in _core(s.graph).rows:
         if sq & ~mask and ((d1 & ~mask) == 0 or (d2 & ~mask) == 0):
             return False
     return True
@@ -157,21 +141,23 @@ def square_complete_closure(seed):
     seed, and running the closure on its own result adds nothing.
     """
     g = seed.graph
+    names = g.vertices
     rows = _core(g).rows
     cur = seed.mask
     steps = []
     changed = True
     while changed:
         changed = False
-        for sq, d1, d2, t1, t2, sqset in rows:
+        for sq, d1, d2 in rows:
             if sq & ~cur:
                 if (d1 & ~cur) == 0:
-                    trigger = t1
+                    trigger = d1
                 elif (d2 & ~cur) == 0:
-                    trigger = t2
+                    trigger = d2
                 else:
                     continue
-                steps.append((sqset, trigger))
+                steps.append((_set_from_mask(g, sq),
+                              tuple(names[i] for i in _bits(trigger))))
                 cur |= sq
                 changed = True
     return ClosureTrace(seed=seed, steps=tuple(steps), result=_set_from_mask(g, cur))
@@ -181,18 +167,18 @@ def minsquare_subgraphs(g):
     """Inclusion-minimal square-complete subgraphs containing a square, as the
     minimal elements of the squares' closures.  Canonically sorted; empty iff
     the graph is square-free."""
-    return _core(g).pieces
+    return tuple(_set_from_mask(g, m) for m in _closures(g).minimal)
 
 
 def is_minsquare_graph(g):
     """True iff g contains a square and its only minsquare subgraph is g itself."""
-    return _core(g).minimal == ((1 << g.n) - 1,)
+    return _closures(g).minimal == ((1 << g.n) - 1,)
 
 
 def is_hyperbolic(g):
     """A graph product of finite groups is hyperbolic iff its graph has no
     induced square."""
-    return not _core(g).masks
+    return not _core(g).rows
 
 
 def electrification_hyperbolic(g):
@@ -204,10 +190,11 @@ def electrification_hyperbolic(g):
     A minsquare subgraph containing a square contains its closure, and the
     closure already contains a minsquare subgraph, so a square is covered
     iff its closure is minimal."""
-    core = _core(g)
+    core = _closures(g)
     minimal = set(core.minimal)
-    uncovered = tuple(sq for sq, c in zip(core.squares, core.closures)
-                      if c not in minimal)
+    uncovered = tuple(_set_from_mask(g, row[0])
+                      for row, k in zip(core.rows, core.comp)
+                      if core.closures[k] not in minimal)
     return ElectrificationCheck(hyperbolic=not uncovered, uncovered=uncovered)
 
 
@@ -224,7 +211,7 @@ def morse_all_hyperbolic(g):
     if is_hyperbolic(g):
         return MorseDichotomy(True, "square-free")
     lam0, lam1 = core_decomposition(g.full_set())
-    if lam0.mask in _core(g).minimal:
+    if lam0.mask in _closures(g).minimal:
         return MorseDichotomy(True, (lam0, lam1))
     return MorseDichotomy(
         False,
@@ -235,7 +222,7 @@ def cfs_check(g):
     """True iff the squares of one connected component of the square-overlap
     graph (squares joined when they share a non-adjacent vertex pair, that
     is, a diagonal) cover every vertex of g."""
-    masks = _core(g).masks
-    if not masks:
+    core = _core(g)
+    if not core.rows:
         return g.n == 0
-    return (1 << g.n) - 1 in _merge_overlapping(g, masks)
+    return (1 << g.n) - 1 in core.unions

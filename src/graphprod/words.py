@@ -286,7 +286,7 @@ def parabolic_membership(x, s):
     reduced word is contained in s."""
     if x.graph != s.graph:
         raise GraphMismatchError("operands over different graphs")
-    return x.support <= s.members
+    return x.support_mask & ~s.mask == 0
 
 
 def _split_head(g, sylls, allowed_mask):

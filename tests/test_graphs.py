@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import combinations
 
@@ -102,6 +103,30 @@ def test_graph_is_immutable(corpus_graphs):
         g.name = "other"
 
 
+def test_vertex_set_matches_frozenset_semantics(random_graphs_9):
+    rng = random.Random(909)
+    for g in random_graphs_9[:40]:
+        for _ in range(5):
+            a = frozenset(rng.sample(g.vertices, rng.randint(0, g.n)))
+            b = frozenset(rng.sample(g.vertices, rng.randint(0, g.n)))
+            sa, sb = g.subset(a), g.subset(sorted(b, reverse=True))
+            assert sa.members == a and len(sa) == len(a)
+            assert sa.sorted == tuple(v for v in g.vertices if v in a) == tuple(sa)
+            assert all((v in sa) == (v in a) for v in g.vertices + ("zz",))
+            assert (sa <= sb) == (a <= b)
+            assert sa.union(sb).members == a | b
+            assert sa.intersection(sb).members == a & b
+            assert sa.difference(sb).members == a - b
+            assert (sa == sb) == (a == b)
+            assert sa == g.subset(list(a) + list(a)) and hash(sa) == hash(g.subset(a))
+            assert copy.copy(sa) == sa
+    g = random_graphs_9[0]
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        g.subset(["zz"])
+    with pytest.raises(AttributeError):
+        g.full_set().mask = 0
+
+
 # --- link / star / completeness ----------------------------------------------
 
 
@@ -171,6 +196,24 @@ def test_square_diagonals(corpus_graphs, random_graphs_9):
                     assert g.adjacent(u, v)
     with pytest.raises(ValueError):
         square_diagonals(corpus_graphs["K4"].full_set())
+    # four vertices that are not a 4-cycle: P4, K1,3, a triangle plus an
+    # isolated vertex, and a triangle with a pendant edge (four edges)
+    g = SimplicialGraph("NS", "abcdefghijklmnop", [
+        ("a", "b"), ("b", "c"), ("c", "d"),
+        ("e", "f"), ("e", "g"), ("e", "h"),
+        ("i", "j"), ("j", "k"), ("k", "i"),
+        ("m", "n"), ("n", "o"), ("o", "m"), ("o", "p")])
+    for quad in ("abcd", "efgh", "ijkl", "mnop"):
+        s = g.subset(quad)
+        with pytest.raises(ValueError, match=f"^{{{','.join(quad)}}} does not "
+                                             "induce a square$"):
+            square_diagonals(s)
+    # 3- and 5-element sets, including ones holding a square
+    cone, k33 = corpus_graphs["CONE"], corpus_graphs["K33"]
+    for s in (cone.subset("abc"), cone.subset("abw"), cone.full_set(),
+              k33.subset("abx"), k33.subset("abcxy")):
+        with pytest.raises(ValueError, match="^not a 4-element vertex set$"):
+            square_diagonals(s)
 
 
 # --- cliques ------------------------------------------------------------------

@@ -1,16 +1,18 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from graphprod.cli import main
 from graphprod.corpus import CORPUS_NAMES, corpus_text
-from graphprod.graphs import induced_squares, parse_graph
+from graphprod.graphs import SimplicialGraph, induced_squares, parse_graph
 from graphprod.isomorphism import canonical_key, fingerprint, piece_label
 from graphprod.relhyp import jinf
 from graphprod.report import analyze, compare, render_comparison, render_report
@@ -174,6 +176,72 @@ def test_analyze_computes_square_data_once(monkeypatch, corpus_graphs):
         analyze(g)
         assert counts["induced_squares"] == 1
         assert counts["square_complete_closure"] <= len(induced_squares(g))
+
+
+def _square_components(g):
+    """Number of components of the squares of g, two squares joined when
+    they share a non-adjacent vertex pair (a diagonal)."""
+    squares = [q.members for q in induced_squares(g)]
+    comp = list(range(len(squares)))
+    for i, j in combinations(range(len(squares)), 2):
+        shared = squares[i] & squares[j]
+        if any(not g.adjacent(u, v) for u, v in combinations(sorted(shared), 2)):
+            old, new = comp[i], comp[j]
+            comp = [new if c == old else c for c in comp]
+    return len(set(comp))
+
+
+def test_analyze_closes_each_square_component_once(monkeypatch):
+    import graphprod.graphs
+    import graphprod.squares
+
+    counts = Counter()
+    _count_calls(monkeypatch, counts, graphprod.squares, "square_complete_closure")
+    _count_calls(monkeypatch, counts, graphprod.graphs, "_merge_overlapping")
+    rng = random.Random(56)
+    graphs = [parse_graph(corpus_text(name)) for name in CORPUS_NAMES]
+    graphs += [make_random_graph(rng, 14, name=f"C{k}") for k in range(20)]
+    fewer = 0
+    for g in graphs:
+        counts.clear()
+        rep = analyze(g)
+        components = _square_components(g)
+        assert counts["square_complete_closure"] == components
+        # one merge of the squares, shared by the core, cfs_check and the
+        # first jinf step, then one per further jinf step
+        assert counts["_merge_overlapping"] == 1 + rep.jinf_iterations
+        fewer += components < len(induced_squares(g))
+    assert fewer >= 10
+
+
+def test_component_closures_match_square_closures():
+    from graphprod.squares import _closures, square_complete_closure
+
+    rng = random.Random(4041)
+    for n in range(20, 41, 4):
+        verts = [f"v{i}" for i in range(n)]
+        p = rng.uniform(0.2, 0.4)
+        g = SimplicialGraph(f"D{n}", verts, [
+            (u, v) for u, v in combinations(verts, 2) if rng.random() < p])
+        core = _closures(g)
+        for q, k in zip(induced_squares(g), core.comp):
+            assert square_complete_closure(q).result.mask == core.closures[k]
+
+
+def test_analysis_leaves_no_cyclic_garbage():
+    # a graph and its square core must be freed by reference counting alone
+    texts = [corpus_text(name) for name in CORPUS_NAMES]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            graphs = [parse_graph(t) for t in texts]
+            reports = [analyze(g) for g in graphs]
+            verdicts = [compare(ga, gb) for ga in graphs for gb in graphs]
+            del graphs, reports, verdicts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_report_json_roundtrip(corpus_graphs):
