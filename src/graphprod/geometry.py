@@ -19,6 +19,8 @@ from .squares import minsquare_subgraphs
 from .words import (
     NormalForm,
     _coset_rep,
+    _last_syllables,
+    _push,
     format_word,
     identity,
     invert,
@@ -192,7 +194,25 @@ class CayleyBall:
 @lru_cache(maxsize=32)
 def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP):
     """BFS-complete ball of the given radius.  Raises BallCapExceeded (with
-    the last completed radius) if the vertex count passes max_vertices."""
+    the last completed radius) if the vertex count passes max_vertices.
+
+    One breadth-first sweep over the growing vertex list multiplies each
+    vertex x by the generators s = (v, e) in declaration order, but computes
+    only the products that land in the ball, deciding from the last letters
+    of x (`words._last_syllables`):
+
+    * v is not a last letter of x: x s is one syllable longer, so it is
+      skipped when x lies on the outermost level;
+    * v is a last letter with exponent f and f + e is the order of v: the
+      syllable cancels and x s is one shorter.  It is skipped: that shorter
+      vertex was swept before x, and there v was not a last letter (else x
+      would not be longer), so its product with the inverse generator
+      already recorded this edge with the same label;
+    * otherwise the syllables amalgamate and x s lies on the level of x.
+
+    Every skipped product was either discarded or a repeat of an edge
+    already recorded, so vertex order, edge order and cap outcome are those
+    of the sweep over all products."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
@@ -201,24 +221,33 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     verts = [ident]
     index = {ident.sylls: 0}
     edge_label = {}
-    gens = [(graph.vertices[v], NormalForm(graph, ((v, e),)))
-            for v in range(graph.n) for e in range(1, graph._orders_ix[v])]
-    # One breadth-first sweep over the growing vertex list.  Vertices come
-    # level by level, so every vertex within the radius exists before the
-    # outermost level is swept, and that level only adds the edges among
-    # existing vertices.
+    orders = graph._orders_ix
+    gens = [(v, e, graph.vertices[v], (v, e))
+            for v in range(graph.n) for e in range(1, orders[v])]
+    # Vertices come level by level, so every vertex within the radius
+    # exists before the outermost level is swept, and that level only adds
+    # the edges among existing vertices, by amalgamation.
     for ix, x in enumerate(verts):
-        for name, s in gens:
-            y = multiply(x, s)
-            if len(y.sylls) > radius:
+        sylls = x.sylls
+        last = _last_syllables(graph, sylls)
+        grow = len(sylls) < radius
+        for v, e, name, s in gens:
+            f = last.get(v)
+            if f is None:
+                if not grow:
+                    continue
+            elif f + e == orders[v]:
                 continue
-            iy = index.get(y.sylls)
+            out = list(sylls)
+            _push(graph, out, s)
+            y = tuple(out)
+            iy = index.get(y)
             if iy is None:
                 if len(verts) >= max_vertices:
-                    raise BallCapExceeded(max_vertices, x.length)
+                    raise BallCapExceeded(max_vertices, len(sylls))
                 iy = len(verts)
-                verts.append(y)
-                index[y.sylls] = iy
+                verts.append(NormalForm(graph, y))
+                index[y] = iy
             key = (ix, iy) if ix < iy else (iy, ix)
             edge_label.setdefault(key, name)
     adj = [[] for _ in verts]

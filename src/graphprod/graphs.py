@@ -116,6 +116,11 @@ class SimplicialGraph:
     def __setattr__(self, *_):
         raise AttributeError("SimplicialGraph is immutable")
 
+    def __reduce__(self):
+        # copies and unpickled graphs go through the constructor, which
+        # recomputes the hash; the square data in _core is not carried
+        return SimplicialGraph, (self.name, self.vertices, self.edges, self.orders)
+
     # basic queries -------------------------------------------------------
 
     @property

@@ -216,6 +216,10 @@ class NormalForm:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuild through the constructor, so the hash is this process's
+        return NormalForm, (self.graph, self.sylls)
+
     def __repr__(self):
         return f"<{format_word(self)}>"
 
@@ -318,6 +322,23 @@ def head(x, s):
     g = x.graph
     hd, tl = _split_head(g, x.sylls, s.mask)
     return NormalForm(g, tuple(hd)), _make_nf(g, tl)
+
+
+def _last_syllables(g, sylls):
+    """Map vertex -> exponent of the last letters of a normal form: the
+    syllables that commute with every later syllable, so can be shuffled to
+    the end.  These are exactly the syllables that `_push` reaches, so a
+    syllable at vertex v amalgamates or cancels iff v is a key.  One
+    backward pass; at most one last letter per vertex, since a later
+    syllable at the same vertex does not commute with an earlier one."""
+    adj = g._adj_bits
+    out = {}
+    later = 0  # vertices of the syllables after the current one
+    for v, f in reversed(sylls):
+        if not later & ~adj[v]:
+            out[v] = f
+        later |= 1 << v
+    return out
 
 
 def _split_suffix(g, sylls, allowed_mask):

@@ -4,15 +4,18 @@ Everything here is deliberately written against the definitions, not against
 the library's algorithms: squares by scanning all 4-subsets, closures by
 intersecting all square-complete supersets, minsquare pieces by enumerating
 every subset, hyperplanes by union-find over ball edges, ball growth by
-an exact rational generating function over the clique complex,
-canonical normal forms by a greedy re-sort of the whole word, and canonical
+an exact rational generating function over the clique complex, balls by
+multiplying every vertex by every generator, canonical normal forms by a greedy re-sort of the whole word, and canonical
 graph keys by an individualization-refinement search with no pruning.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from graphprod.geometry import DEFAULT_VERTEX_CAP, BallCapExceeded, CayleyBall
 from graphprod.graphs import SimplicialGraph
+from graphprod.squares import minsquare_subgraphs
+from graphprod.words import NormalForm, _coset_rep, identity, multiply
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,62 @@ def growth_counts(g, radius):
     counts = [int(c) for c in series]
     assert all(Fraction(c) == s for c, s in zip(counts, series))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# balls by every product
+
+
+def brute_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP):
+    """`geometry.build_ball` as a sweep over all products: every vertex is
+    multiplied by every generator through `multiply`, and the products past
+    the radius are discarded."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be >= 1")
+    ident = identity(graph)
+    verts = [ident]
+    index = {ident.sylls: 0}
+    edge_label = {}
+    gens = [(graph.vertices[v], NormalForm(graph, ((v, e),)))
+            for v in range(graph.n) for e in range(1, graph._orders_ix[v])]
+    for ix, x in enumerate(verts):
+        for name, s in gens:
+            y = multiply(x, s)
+            if len(y.sylls) > radius:
+                continue
+            iy = index.get(y.sylls)
+            if iy is None:
+                if len(verts) >= max_vertices:
+                    raise BallCapExceeded(max_vertices, x.length)
+                iy = len(verts)
+                verts.append(y)
+                index[y.sylls] = iy
+            key = (ix, iy) if ix < iy else (iy, ix)
+            edge_label.setdefault(key, name)
+    adj = [[] for _ in verts]
+    for (i, j) in edge_label:
+        adj[i].append(j)
+        adj[j].append(i)
+    adj = tuple(tuple(sorted(nb)) for nb in adj)
+    cone_groups = ()
+    groups_of_vertex = tuple(() for _ in verts)
+    if electrified:
+        groups = {}
+        for mi, lam in enumerate(minsquare_subgraphs(graph)):
+            mask = lam.mask
+            for i, x in enumerate(verts):
+                rep = _coset_rep(x, mask)
+                groups.setdefault((mi, rep.sylls), []).append(i)
+        cone_groups = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
+        gov = [[] for _ in verts]
+        for gi, group in enumerate(cone_groups):
+            for i in group:
+                gov[i].append(gi)
+        groups_of_vertex = tuple(tuple(g) for g in gov)
+    return CayleyBall(graph, radius, tuple(verts), index, adj, edge_label,
+                      electrified, cone_groups, groups_of_vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from graphprod import geometry, words
 from graphprod.geometry import (
+    DEFAULT_VERTEX_CAP,
     BallCapExceeded,
     build_ball,
     electrified_distance,
@@ -24,7 +26,7 @@ from graphprod.words import (
     reduce_word,
 )
 
-from oracles import edge_class_partition, growth_counts, make_random_graph
+from oracles import brute_ball, edge_class_partition, growth_counts, make_random_graph
 
 
 def rw(g, text):
@@ -104,6 +106,59 @@ def test_ball_cap(corpus_graphs):
     with pytest.raises(BallCapExceeded) as exc:
         build_ball(corpus_graphs["C5"], 9, max_vertices=40)
     assert exc.value.radius_reached == 2
+
+
+def _ball_outcome(build, g, radius, electrified, cap):
+    """Everything a build leaves behind, dict orders included, or the cap
+    it hit."""
+    try:
+        b = build(g, radius, electrified, cap)
+    except BallCapExceeded as exc:
+        return ("cap", exc.cap, exc.radius_reached, str(exc))
+    return (b.verts, list(b._edge_label.items()), list(b._index.items()),
+            b.adj, b.cone_groups, b._groups_of_vertex)
+
+
+def test_ball_matches_sweep_over_all_products(corpus_graphs):
+    rng = random.Random(4404)
+    cases = [(g, r) for g in corpus_graphs.values() for r in range(5)]
+    cases += [(make_random_graph(rng, 8, max_order=4, name=f"BB{k}"), r)
+              for k in range(60) for r in range(4)]
+    for g, r in cases:
+        for electrified in (False, True):
+            for cap in (1, 7, 40, DEFAULT_VERTEX_CAP):
+                assert (_ball_outcome(build_ball.__wrapped__, g, r, electrified, cap)
+                        == _ball_outcome(brute_ball, g, r, electrified, cap)), \
+                    (g, r, electrified, cap)
+
+
+def test_ball_sweep_computes_only_products_in_the_ball(monkeypatch, corpus_graphs):
+    # every product the sweep computes is one `_push`; each edge between two
+    # levels is computed once, from its shorter end, and each edge inside a
+    # level (an amalgamation, only at orders above 2) once from either end
+    lengths = []
+    push = words._push
+
+    def counting_push(g, out, s):
+        push(g, out, s)
+        lengths.append(len(out))
+
+    monkeypatch.setattr(words, "_push", counting_push)
+    monkeypatch.setattr(geometry, "_push", counting_push, raising=False)
+    rng = random.Random(5505)
+    cases = [(g, 4) for g in corpus_graphs.values()]
+    cases += [(make_random_graph(rng, 8, max_order=order, name=f"BW{k}"), 3)
+              for order in (2, 4) for k in range(15)]
+    for g, r in cases:
+        lengths.clear()
+        ball = build_ball.__wrapped__(g, r)
+        assert max(lengths, default=0) <= r
+        flat = sum(1 for i, j, _ in ball.edges() if ball.level(i) == ball.level(j))
+        assert len(lengths) == ball.edge_count() + flat
+        if max(g._orders_ix) == 2:
+            assert len(lengths) == ball.edge_count()
+        else:
+            assert len(lengths) <= 2 * ball.edge_count()
 
 
 def test_ball_membership_queries(balls3):

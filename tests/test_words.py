@@ -1,5 +1,11 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,3 +378,49 @@ def test_commuting_transposition_keeps_normal_form_property(data):
     i = data.draw(st.sampled_from(swaps))
     swapped = word[:i] + [word[i + 1], word[i]] + word[i + 2:]
     assert reduce_word(Word(g, swapped)) == reduce_word(Word(g, word))
+
+
+# --- copying and pickling -----------------------------------------------------
+
+
+def _mixed_graph():
+    return SimplicialGraph("MIX", ["a", "b", "c", "d"],
+                           [("a", "b"), ("b", "c"), ("c", "d")], {"b": 3, "d": 4})
+
+
+def test_copy_and_pickle_round_trip():
+    g = _mixed_graph()
+    objects = [g, g.subset(["b", "d"]), rw(g, "a b^2 d^3 c a")]
+    for obj in objects:
+        for clone in (copy.copy(obj), copy.deepcopy(obj),
+                      pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj)
+            assert clone == obj and hash(clone) == hash(obj)
+    clone = pickle.loads(pickle.dumps(g))
+    assert (clone.vertices, clone.edges, clone.orders) == (g.vertices, g.edges, g.orders)
+    assert multiply(pickle.loads(pickle.dumps(objects[2])), objects[2]) == \
+        multiply(objects[2], objects[2])
+
+
+def test_unpickled_normal_form_hashes_in_another_process():
+    # the hash is recomputed on unpickling, so a normal form pickled under one
+    # PYTHONHASHSEED is found as a dict key in a process with another
+    x = rw(_mixed_graph(), "a b^2 d^3 c a")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys\n"
+        "from graphprod.graphs import SimplicialGraph\n"
+        "from graphprod.words import parse_word, reduce_word\n"
+        "g = SimplicialGraph('MIX', ['a', 'b', 'c', 'd'],\n"
+        "                    [('a', 'b'), ('b', 'c'), ('c', 'd')], {'b': 3, 'd': 4})\n"
+        "x = reduce_word(parse_word(g, 'a b^2 d^3 c a'))\n"
+        "assert hash(x) != int(sys.argv[1]), 'same hash seed in both processes'\n"
+        "y = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "print({x: 'found'}[y])\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code, str(hash(x))],
+                         input=pickle.dumps(x).hex(), capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src),
+                                             PYTHONHASHSEED=seed))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "found"
