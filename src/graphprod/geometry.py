@@ -119,16 +119,18 @@ class CayleyBall:
         return len(self._edge_label)
 
     def cone_edges(self):
-        """Cone edges as (i, j) pairs, i < j.  Quadratic in coset size; meant
-        for small balls and tests (BFS uses the groups directly)."""
-        seen = set()
-        for group in self.cone_groups:
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    e = (group[a], group[b])
-                    if e not in seen:
-                        seen.add(e)
-                        yield e
+        """Cone edges as (i, j) pairs, i < j, each once.  Quadratic in coset
+        size; meant for small balls and tests (BFS uses the groups
+        directly).  A pair is yielded with the first group holding both
+        ends, found from the groups of each end, so nothing is kept."""
+        gov = self._groups_of_vertex
+        for gi, group in enumerate(self.cone_groups):
+            for a, i in enumerate(group):
+                mine = gov[i]
+                earlier = set(mine[:mine.index(gi)])
+                for j in group[a + 1:]:
+                    if earlier.isdisjoint(gov[j]):
+                        yield i, j
 
     # --- metrics ----------------------------------------------------------
 
@@ -191,10 +193,16 @@ class CayleyBall:
                 f"{self.vertex_count} vertices>")
 
 
-@lru_cache(maxsize=32)
 def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP):
     """BFS-complete ball of the given radius.  Raises BallCapExceeded (with
     the last completed radius) if the vertex count passes max_vertices.
+
+    Balls are cached (up to 32) on the normalised arguments, however they
+    are spelled.  The plain sweep below is shared: an electrified ball is
+    the plain ball of the same graph, radius and cap, built or taken from
+    the cache, with the cone groups laid on top (`_electrify`), and both
+    hold the same read-only vertices, index, adjacency and edge labels.
+    `build_ball.__wrapped__` builds without any cache.
 
     One breadth-first sweep over the growing vertex list multiplies each
     vertex x by the generators s = (v, e) in declaration order, but computes
@@ -212,11 +220,51 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
 
     Every skipped product was either discarded or a repeat of an edge
     already recorded, so vertex order, edge order and cap outcome are those
-    of the sweep over all products."""
+    of the sweep over all products.
+
+    The cone groups come from one pass over the edges per minsquare piece
+    Λ, in insertion order: a Λ-labelled edge (i, j), i < j, sets
+    comp[j] = comp[i].  This is exact.  Let p be the shortest member of a
+    coset x<Λ> (its minimal representative).  Any other member x = p w of
+    the ball, with w in <Λ> reduced, has a last letter in Λ, and dropping
+    it gives a shorter member joined to x by a Λ-labelled edge; p itself
+    has no such edge down.  An edge is recorded while a vertex of its
+    lower level is swept, so after every edge down into that level: comp
+    chains each member to p, and an edge inside a level joins two members
+    whose comp is already p.  Grouping the vertices by (piece, comp) in
+    index order then gives the groups, and their order, of one coset
+    representative per vertex and piece, with no normal form built."""
+    _check_ball_args(radius, max_vertices)
+    return _cached_ball(graph, radius, bool(electrified), max_vertices)
+
+
+def _check_ball_args(radius, max_vertices):
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
+
+
+@lru_cache(maxsize=32)
+def _cached_ball(graph, radius, electrified, max_vertices):
+    if electrified:
+        return _electrify(_cached_ball(graph, radius, False, max_vertices))
+    return _sweep(graph, radius, max_vertices)
+
+
+def _uncached_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP):
+    _check_ball_args(radius, max_vertices)
+    ball = _sweep(graph, radius, max_vertices)
+    return _electrify(ball) if electrified else ball
+
+
+build_ball.__wrapped__ = _uncached_ball
+build_ball.cache_info = _cached_ball.cache_info
+build_ball.cache_clear = _cached_ball.cache_clear
+
+
+def _sweep(graph, radius, max_vertices):
+    """The plain ball: the last-letter sweep described in `build_ball`."""
     ident = identity(graph)
     verts = [ident]
     index = {ident.sylls: 0}
@@ -255,23 +303,35 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
         adj[i].append(j)
         adj[j].append(i)
     adj = tuple(tuple(sorted(nb)) for nb in adj)
-    cone_groups = ()
-    groups_of_vertex = tuple(() for _ in verts)
-    if electrified:
-        groups = {}
-        for mi, lam in enumerate(minsquare_subgraphs(graph)):
-            mask = lam.mask
-            for i, x in enumerate(verts):
-                rep = _coset_rep(x, mask)
-                groups.setdefault((mi, rep.sylls), []).append(i)
-        cone_groups = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
-        gov = [[] for _ in verts]
-        for gi, group in enumerate(cone_groups):
-            for i in group:
-                gov[i].append(gi)
-        groups_of_vertex = tuple(tuple(g) for g in gov)
     return CayleyBall(graph, radius, tuple(verts), index, adj, edge_label,
-                      electrified, cone_groups, groups_of_vertex)
+                      False, (), tuple(() for _ in verts))
+
+
+def _electrify(ball):
+    """The electrified ball over a plain one: its structures shared, the
+    minsquare cosets found from the edges (see `build_ball`)."""
+    graph = ball.graph
+    verts = ball.verts
+    bit = {name: 1 << v for v, name in enumerate(graph.vertices)}
+    edges = [(i, j, bit[lab]) for (i, j), lab in ball._edge_label.items()]
+    cone_groups = []
+    for lam in minsquare_subgraphs(graph):
+        mask = lam.mask
+        comp = list(range(len(verts)))
+        for i, j, b in edges:
+            if b & mask:
+                comp[j] = comp[i]
+        groups = {}
+        for i, c in enumerate(comp):
+            groups.setdefault(c, []).append(i)
+        cone_groups.extend(tuple(g) for g in groups.values() if len(g) >= 2)
+    gov = [[] for _ in verts]
+    for gi, group in enumerate(cone_groups):
+        for i in group:
+            gov[i].append(gi)
+    return CayleyBall(graph, ball.radius, verts, ball._index, ball.adj,
+                      ball._edge_label, True, tuple(cone_groups),
+                      tuple(tuple(g) for g in gov))
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,18 @@ def brute_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
                       electrified, cone_groups, groups_of_vertex)
 
 
+def brute_cone_edges(ball):
+    """`CayleyBall.cone_edges` with a set of the pairs already yielded."""
+    seen = set()
+    for group in ball.cone_groups:
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                e = (group[a], group[b])
+                if e not in seen:
+                    seen.add(e)
+                    yield e
+
+
 # ---------------------------------------------------------------------------
 # reduced words move by move, canonical forms by greedy re-sorting
 

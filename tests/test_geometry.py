@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +16,7 @@ from graphprod.geometry import (
     separating_hyperplanes,
     transverse,
 )
-from graphprod.graphs import parse_graph
+from graphprod.graphs import SimplicialGraph, parse_graph
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import (
     Word,
@@ -26,7 +28,13 @@ from graphprod.words import (
     reduce_word,
 )
 
-from oracles import brute_ball, edge_class_partition, growth_counts, make_random_graph
+from oracles import (
+    brute_ball,
+    brute_cone_edges,
+    edge_class_partition,
+    growth_counts,
+    make_random_graph,
+)
 
 
 def rw(g, text):
@@ -119,17 +127,45 @@ def _ball_outcome(build, g, radius, electrified, cap):
             b.adj, b.cone_groups, b._groups_of_vertex)
 
 
+def _graphs_with_pieces(rng, count):
+    """Seeded graphs with at least two minsquare pieces and every vertex of
+    order 3 or 4, so balls have edges inside a level and overlapping
+    cosets of different pieces."""
+    out = []
+    for _ in range(5000):
+        n = rng.randint(5, 7)
+        verts = [f"v{i}" for i in range(n)]
+        edges = [(u, v) for u, v in combinations(verts, 2) if rng.random() < 0.5]
+        g = SimplicialGraph(f"MP{len(out)}", verts, edges,
+                            {v: rng.randint(3, 4) for v in verts})
+        if len(minsquare_subgraphs(g)) >= 2:
+            out.append(g)
+            if len(out) == count:
+                break
+    return out
+
+
 def test_ball_matches_sweep_over_all_products(corpus_graphs):
     rng = random.Random(4404)
     cases = [(g, r) for g in corpus_graphs.values() for r in range(5)]
     cases += [(make_random_graph(rng, 8, max_order=4, name=f"BB{k}"), r)
               for k in range(60) for r in range(4)]
+    cases += [(g, r) for g in _graphs_with_pieces(rng, 24) for r in range(3)]
+    with_pieces = 0
     for g, r in cases:
-        for electrified in (False, True):
-            for cap in (1, 7, 40, DEFAULT_VERTEX_CAP):
-                assert (_ball_outcome(build_ball.__wrapped__, g, r, electrified, cap)
-                        == _ball_outcome(brute_ball, g, r, electrified, cap)), \
-                    (g, r, electrified, cap)
+        for cap in (1, 7, 40, DEFAULT_VERTEX_CAP):
+            # the public build caches, so a plain build that hits the cap is
+            # followed by an electrified build over the same sweep
+            for electrified in (False, True):
+                want = _ball_outcome(brute_ball, g, r, electrified, cap)
+                for build in (build_ball.__wrapped__, build_ball):
+                    assert _ball_outcome(build, g, r, electrified, cap) == want, \
+                        (g, r, electrified, cap, build)
+        ball = build_ball.__wrapped__(g, r, True)
+        flat = any(ball.level(i) == ball.level(j) for i, j, _ in ball.edges())
+        if flat and len(minsquare_subgraphs(g)) >= 2:
+            with_pieces += 1
+    assert with_pieces >= 20
 
 
 def test_ball_sweep_computes_only_products_in_the_ball(monkeypatch, corpus_graphs):
@@ -159,6 +195,66 @@ def test_ball_sweep_computes_only_products_in_the_ball(monkeypatch, corpus_graph
             assert len(lengths) == ball.edge_count()
         else:
             assert len(lengths) <= 2 * ball.edge_count()
+
+
+def test_ball_spellings_share_one_sweep(monkeypatch):
+    # positional, keyword and default spellings name one cache entry, and an
+    # electrified build reuses the plain sweep and its structures
+    pushes = []
+    push = words._push
+
+    def counting_push(g, out, s):
+        push(g, out, s)
+        pushes.append(s)
+
+    monkeypatch.setattr(geometry, "_push", counting_push)
+    g = SimplicialGraph("SPELL", list("abcd"),
+                        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], {"a": 3})
+    ball = build_ball(g, 5)
+    swept = len(pushes)
+    assert swept == ball.edge_count() + sum(
+        1 for i, j, _ in ball.edges() if ball.level(i) == ball.level(j))
+    assert build_ball(g, radius=5) is ball
+    assert build_ball(g, 5, False) is ball
+    assert build_ball(g, 5, max_vertices=DEFAULT_VERTEX_CAP) is ball
+    eball = build_ball(g, 5, electrified=True)
+    assert build_ball(g, 5, True) is eball
+    assert eball.electrified and not ball.electrified
+    assert eball.verts is ball.verts and eball.adj is ball.adj
+    assert eball._index is ball._index and eball._edge_label is ball._edge_label
+    # the whole graph is one minsquare piece: one cone covers the ball
+    assert eball.cone_groups == (tuple(range(ball.vertex_count)),)
+    assert electrified_distance(identity(g), ball.verts[-1], 5).value == 1
+    assert len(pushes) == swept
+
+
+def test_cone_edges_match_seen_set(eballs4):
+    rng = random.Random(3303)
+    balls = list(eballs4.values())
+    balls += [build_ball.__wrapped__(g, 2, True) for g in _graphs_with_pieces(rng, 10)]
+    balls += [build_ball.__wrapped__(make_random_graph(rng, 8, name=f"CE{k}"), 3, True)
+              for k in range(20)]
+    repeats = 0
+    for ball in balls:
+        want = list(brute_cone_edges(ball))
+        assert list(ball.cone_edges()) == want, ball
+        repeats += sum(len(c) * (len(c) - 1) // 2 for c in ball.cone_groups) - len(want)
+    # cosets of two pieces share pairs, so some pairs are skipped as repeats
+    assert repeats > 0
+
+
+def test_cone_edges_keep_no_pairs(corpus_graphs):
+    ball = build_ball(corpus_graphs["SQ4"], 30, electrified=True)
+    n = ball.vertex_count
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in ball.cone_edges())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == n * (n - 1) // 2
+    # a set of every pair would take over 100 MB here
+    assert peak < 1 << 20
 
 
 def test_ball_membership_queries(balls3):
