@@ -182,9 +182,8 @@ def _dispatch(args):
         if args.count_only:
             print(ball.vertex_count)
         else:
-            cones = sum(1 for _ in ball.cone_edges()) if args.electrified else 0
             print(f"vertices {ball.vertex_count} edges {ball.edge_count()}"
-                  + (f" cone_edges {cones}" if args.electrified else ""))
+                  + (f" cone_edges {ball.cone_edge_count()}" if args.electrified else ""))
             for nf in ball.verts:
                 print(format_word(nf))
         return 0

@@ -11,6 +11,7 @@ square, and computes electrified distances on cone-off balls.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,6 +133,27 @@ class CayleyBall:
                     if earlier.isdisjoint(gov[j]):
                         yield i, j
 
+    def cone_edge_count(self):
+        """The number of cone edges, counted without listing them: for each
+        vertex i, the j > i sharing a group with it.  In one group those are
+        the group's members after i (groups are in index order); only a
+        vertex in several groups needs the union of their later members."""
+        groups = self.cone_groups
+        gov = self._groups_of_vertex
+        count = 0
+        for gi, group in enumerate(groups):
+            size = len(group)
+            for a, i in enumerate(group):
+                mine = gov[i]
+                if len(mine) == 1:
+                    count += size - a - 1
+                elif mine[0] == gi:
+                    later = set()
+                    for g in mine:
+                        later.update(groups[g][bisect_right(groups[g], i):])
+                    count += len(later)
+        return count
+
     # --- metrics ----------------------------------------------------------
 
     def distances_from(self, indices=None):
@@ -178,13 +200,24 @@ class CayleyBall:
     # --- hyperplanes --------------------------------------------------------
 
     def edge_hyperplanes(self):
-        """Map each plain edge (i, j) to its HyperplaneId (cached)."""
+        """Map each plain edge (i, j) to its HyperplaneId (cached).  A
+        v-labelled edge at x is dual to the hyperplane carried by the coset
+        x<star(v)>, named by that coset's head (`_coset_heads`, one edge
+        pass per vertex v); edges of one label and head share one id."""
         if self._edge_hyp is None:
             verts = self.verts
-            masks = _star_masks(self.graph)
-            self._edge_hyp = {
-                (i, j): HyperplaneId(lab, _coset_rep(verts[i], masks[lab]))
-                for (i, j), lab in self._edge_label.items()}
+            edges = _labelled_edges(self)
+            heads = {name: _coset_heads(edges, len(verts), mask)
+                     for name, mask in _star_masks(self.graph).items()}
+            ids = {}
+            hyp = {}
+            for e, lab in self._edge_label.items():
+                key = (lab, heads[lab][e[0]])
+                h = ids.get(key)
+                if h is None:
+                    h = ids[key] = HyperplaneId(lab, verts[key[1]])
+                hyp[e] = h
+            self._edge_hyp = hyp
         return self._edge_hyp
 
     def __repr__(self):
@@ -222,18 +255,8 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     already recorded, so vertex order, edge order and cap outcome are those
     of the sweep over all products.
 
-    The cone groups come from one pass over the edges per minsquare piece
-    Λ, in insertion order: a Λ-labelled edge (i, j), i < j, sets
-    comp[j] = comp[i].  This is exact.  Let p be the shortest member of a
-    coset x<Λ> (its minimal representative).  Any other member x = p w of
-    the ball, with w in <Λ> reduced, has a last letter in Λ, and dropping
-    it gives a shorter member joined to x by a Λ-labelled edge; p itself
-    has no such edge down.  An edge is recorded while a vertex of its
-    lower level is swept, so after every edge down into that level: comp
-    chains each member to p, and an edge inside a level joins two members
-    whose comp is already p.  Grouping the vertices by (piece, comp) in
-    index order then gives the groups, and their order, of one coset
-    representative per vertex and piece, with no normal form built."""
+    The cone groups are the minsquare cosets found by `_coset_heads`, one
+    edge pass per piece, grouped by (piece, head) in index order."""
     _check_ball_args(radius, max_vertices)
     return _cached_ball(graph, radius, bool(electrified), max_vertices)
 
@@ -309,21 +332,15 @@ def _sweep(graph, radius, max_vertices):
 
 def _electrify(ball):
     """The electrified ball over a plain one: its structures shared, the
-    minsquare cosets found from the edges (see `build_ball`)."""
+    minsquare cosets found from the edges (see `_coset_heads`)."""
     graph = ball.graph
     verts = ball.verts
-    bit = {name: 1 << v for v, name in enumerate(graph.vertices)}
-    edges = [(i, j, bit[lab]) for (i, j), lab in ball._edge_label.items()]
+    edges = _labelled_edges(ball)
     cone_groups = []
     for lam in minsquare_subgraphs(graph):
-        mask = lam.mask
-        comp = list(range(len(verts)))
-        for i, j, b in edges:
-            if b & mask:
-                comp[j] = comp[i]
         groups = {}
-        for i, c in enumerate(comp):
-            groups.setdefault(c, []).append(i)
+        for i, h in enumerate(_coset_heads(edges, len(verts), lam.mask)):
+            groups.setdefault(h, []).append(i)
         cone_groups.extend(tuple(g) for g in groups.values() if len(g) >= 2)
     gov = [[] for _ in verts]
     for gi, group in enumerate(cone_groups):
@@ -332,6 +349,36 @@ def _electrify(ball):
     return CayleyBall(graph, ball.radius, verts, ball._index, ball.adj,
                       ball._edge_label, True, tuple(cone_groups),
                       tuple(tuple(g) for g in gov))
+
+
+def _labelled_edges(ball):
+    """The ball's edges in the order the sweep recorded them, as
+    (i, j, bit of the label vertex) with i < j."""
+    bit = {name: 1 << v for v, name in enumerate(ball.graph.vertices)}
+    return [(i, j, bit[lab]) for (i, j), lab in ball._edge_label.items()]
+
+
+def _coset_heads(edges, size, mask):
+    """For each of the `size` ball vertices x, the index of its coset's
+    head: the shortest member of x<mask>, for the parabolic subgroup given
+    by any vertex mask (a minsquare piece, or the star of a vertex).
+
+    One pass over `edges` (`_labelled_edges`) in recording order: an edge
+    (i, j), i < j, whose label lies in the mask sets head[j] = head[i].
+    This is exact.  Let p be the shortest member of a coset x<mask> (its
+    minimal representative, unique).  Any other member x = p w of the ball,
+    with w in <mask> reduced, has a last letter in the mask, and dropping
+    it gives a shorter member joined to x by an edge labelled in the mask;
+    p itself has no such edge down, and no other member on its level.  The
+    sweep records an edge while a vertex of its lower level is swept, so
+    after every edge down into that level: head chains each member to p,
+    and an edge inside a level joins two members whose head is already p.
+    No normal form is built."""
+    head = list(range(size))
+    for i, j, b in edges:
+        if b & mask:
+            head[j] = head[i]
+    return head
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,12 @@ class PeripheralStructure:
 
 def _cp_mask(g, mask):
     adj = g._adj_bits
+    near = 0
+    for u in _bits(mask):
+        near |= adj[u]
     out = mask
-    for v in _bits(((1 << g.n) - 1) & ~mask):
+    # only a neighbour of the mask has a link in it at all
+    for v in _bits(near & ~mask):
         link = adj[v] & mask
         # links with fewer than two vertices are complete
         if link & (link - 1) and not _complete_mask(g, link):

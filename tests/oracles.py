@@ -3,16 +3,23 @@
 Everything here is deliberately written against the definitions, not against
 the library's algorithms: squares by scanning all 4-subsets, closures by
 intersecting all square-complete supersets, minsquare pieces by enumerating
-every subset, hyperplanes by union-find over ball edges, ball growth by
-an exact rational generating function over the clique complex, balls by
-multiplying every vertex by every generator, canonical normal forms by a greedy re-sort of the whole word, and canonical
-graph keys by an individualization-refinement search with no pruning.
+every subset, hyperplanes by union-find over ball edges and by one
+coset representative per edge, ball growth by an exact rational generating
+function over the clique complex, balls by multiplying every vertex by every
+generator, canonical normal forms by a greedy re-sort of the whole word, and
+canonical graph keys by an individualization-refinement search with no pruning.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from graphprod.geometry import DEFAULT_VERTEX_CAP, BallCapExceeded, CayleyBall
+from graphprod.geometry import (
+    DEFAULT_VERTEX_CAP,
+    BallCapExceeded,
+    CayleyBall,
+    HyperplaneId,
+    _star_masks,
+)
 from graphprod.graphs import SimplicialGraph
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import NormalForm, _coset_rep, identity, multiply
@@ -184,6 +191,16 @@ def edge_class_partition(ball):
     for e in edges:
         classes.setdefault(find(eid[e]), set()).add(e)
     return {frozenset(c) for c in classes.values()}
+
+
+def brute_edge_hyperplanes(ball):
+    """`CayleyBall.edge_hyperplanes` one edge at a time: the carrier coset
+    of each edge's hyperplane from `_coset_rep` of its lower end."""
+    verts = ball.verts
+    masks = _star_masks(ball.graph)
+    return {
+        (i, j): HyperplaneId(lab, _coset_rep(verts[i], masks[lab]))
+        for (i, j), lab in ball._edge_label.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from graphprod.words import (
 from oracles import (
     brute_ball,
     brute_cone_edges,
+    brute_edge_hyperplanes,
     edge_class_partition,
     growth_counts,
     make_random_graph,
@@ -243,6 +244,21 @@ def test_cone_edges_match_seen_set(eballs4):
     assert repeats > 0
 
 
+def test_cone_edge_count_matches_listed_pairs(eballs4):
+    rng = random.Random(3404)
+    balls = list(eballs4.values())
+    balls += [build_ball.__wrapped__(g, r, True)
+              for g in _graphs_with_pieces(rng, 12) for r in (1, 2)]
+    balls += [build_ball.__wrapped__(make_random_graph(rng, 8, name=f"CC{k}"), 3, True)
+              for k in range(20)]
+    shared = 0
+    for ball in balls:
+        assert ball.cone_edge_count() == sum(1 for _ in ball.cone_edges()), ball
+        shared += sum(1 for gov in ball._groups_of_vertex if len(gov) >= 2)
+    # vertices in cosets of two pieces take the union branch
+    assert shared > 0
+
+
 def test_cone_edges_keep_no_pairs(corpus_graphs):
     ball = build_ball(corpus_graphs["SQ4"], 30, electrified=True)
     n = ball.vertex_count
@@ -252,7 +268,7 @@ def test_cone_edges_keep_no_pairs(corpus_graphs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == n * (n - 1) // 2
+    assert count == n * (n - 1) // 2 == ball.cone_edge_count()
     # a set of every pair would take over 100 MB here
     assert peak < 1 << 20
 
@@ -320,9 +336,59 @@ def test_separating_set_invariant_under_shuffles():
                 assert len(set(seq)) == len(seq)
 
 
+def _hyperplane_cases(corpus_graphs):
+    """Corpus balls at radius 0..4, seeded random graphs with vertex orders
+    2..4 at radius 0..3 and graphs with two or more pieces at radius 0..2,
+    each plain and electrified."""
+    rng = random.Random(6606)
+    cases = [(g, r) for g in corpus_graphs.values() for r in range(5)]
+    cases += [(make_random_graph(rng, 7, max_order=4, name=f"EH{k}"), r)
+              for k in range(40) for r in range(4)]
+    cases += [(g, r) for g in _graphs_with_pieces(rng, 6) for r in range(3)]
+    return [build_ball.__wrapped__(g, r, electrified)
+            for g, r in cases for electrified in (False, True)]
+
+
+def test_edge_hyperplanes_match_per_edge_oracle(corpus_graphs):
+    flat = 0
+    for ball in _hyperplane_cases(corpus_graphs):
+        assert (list(ball.edge_hyperplanes().items())
+                == list(brute_edge_hyperplanes(ball).items())), ball
+        if any(ball.level(i) == ball.level(j) for i, j, _ in ball.edges()):
+            flat += 1
+    # edges inside a level (amalgamations, at orders above 2) were covered
+    assert flat >= 20
+
+
+def test_edge_hyperplanes_build_no_coset_rep(monkeypatch, corpus_graphs):
+    calls = []
+    coset_rep = geometry._coset_rep
+
+    def counting_coset_rep(x, mask):
+        calls.append(mask)
+        return coset_rep(x, mask)
+
+    monkeypatch.setattr(geometry, "_coset_rep", counting_coset_rep)
+    monkeypatch.setattr(words, "_coset_rep", counting_coset_rep)
+    rng = random.Random(7707)
+    graphs = list(corpus_graphs.values())
+    graphs += [make_random_graph(rng, 7, max_order=4, name=f"NC{k}") for k in range(10)]
+    for g in graphs:
+        ball = build_ball.__wrapped__(g, 3)
+        hyp = ball.edge_hyperplanes()
+        assert calls == []
+        # one id per hyperplane, and its carrier is a ball vertex
+        assert len({id(h) for h in hyp.values()}) == len(set(hyp.values()))
+        assert all(h.coset in ball for h in hyp.values())
+
+
 def test_hyperplane_matches_edge_classes(balls3):
     # algebraic ids against union-find over triangles and opposite square sides
-    for ball in balls3.values():
+    rng = random.Random(8808)
+    balls = list(balls3.values())
+    balls += [build_ball.__wrapped__(make_random_graph(rng, 6, max_order=4, name=f"HC{k}"), r)
+              for k in range(12) for r in (2, 3)]
+    for ball in balls:
         by_id = {}
         for e, h in ball.edge_hyperplanes().items():
             by_id.setdefault(h, set()).add(e)

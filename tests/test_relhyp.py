@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+from graphprod import relhyp
 from graphprod.graphs import SimplicialGraph, is_complete, link
 from graphprod.relhyp import cp, jinf
 from graphprod.squares import is_hyperbolic, minsquare_subgraphs
@@ -99,3 +100,41 @@ def test_jinf_status_trivial_iff_full(corpus_graphs, random_graphs_9):
         elif per.status == "proper":
             assert per.members
             assert all(m.members != set(g.vertices) for m in per.members)
+
+
+def test_cp_walks_only_neighbours_of_the_mask(monkeypatch):
+    # a vertex with no neighbour in the mask has an empty link, so padding
+    # never looks at it
+    walked = []
+    bits = relhyp._bits
+
+    def recording_bits(mask):
+        walked.append(mask)
+        return bits(mask)
+
+    monkeypatch.setattr(relhyp, "_bits", recording_bits)
+    rng = random.Random(902)
+    far = 0
+    for k in range(20):
+        n = rng.randint(12, 30)
+        verts = [f"v{i}" for i in range(n)]
+        g = SimplicialGraph(f"W{k}", verts, [
+            e for e in combinations(verts, 2) if rng.random() < 3 / n])
+        for _ in range(10):
+            mask = sum(1 << v for v in rng.sample(range(n), rng.randint(1, 5)))
+            near = mask
+            for v in range(n):
+                if mask >> v & 1:
+                    near |= g._adj_bits[v]
+            walked.clear()
+            out = relhyp._cp_mask(g, mask)
+            assert all(m & ~near == 0 for m in walked)
+            want = mask
+            for v in range(n):
+                lk = [u for u in range(n) if mask >> u & 1 and g._adj_bits[v] >> u & 1]
+                if not mask >> v & 1 and any(
+                        not g._adj_bits[a] >> b & 1 for a, b in combinations(lk, 2)):
+                    want |= 1 << v
+            assert out == want
+            far += near != (1 << n) - 1
+    assert far > 100
