@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import is_star_of_vertex
 from .squares import minsquare_subgraphs
@@ -58,11 +59,11 @@ class BallCapExceeded(RuntimeError):
             f"vertex cap {cap} exceeded; completed radius {radius_reached}")
 
 
-@dataclass(frozen=True)
-class HyperplaneId:
+class HyperplaneId(NamedTuple):
     """A hyperplane of the Cayley graph, identified algebraically: the vertex
     labelling its edges and the minimal-length representative of the carrier
-    coset (the coset of the label's star-parabolic)."""
+    coset (the coset of the label's star-parabolic).  A plain tuple, so an
+    id also equals the tuple (label, coset)."""
 
     label: str
     coset: NormalForm
@@ -230,12 +231,14 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     """BFS-complete ball of the given radius.  Raises BallCapExceeded (with
     the last completed radius) if the vertex count passes max_vertices.
 
-    Balls are cached (up to 32) on the normalised arguments, however they
-    are spelled.  The plain sweep below is shared: an electrified ball is
+    The cache keeps the last ball built, keyed on the normalised arguments
+    however they are spelled.  Only two callers reuse a ball: an
+    electrified build right after the plain build of the same arguments,
+    and repeated `electrified_distance` calls at one radius; one entry
+    serves both and keeps at most one sweep alive.  An electrified ball is
     the plain ball of the same graph, radius and cap, built or taken from
     the cache, with the cone groups laid on top (`_electrify`), and both
     hold the same read-only vertices, index, adjacency and edge labels.
-    `build_ball.__wrapped__` builds without any cache.
 
     One breadth-first sweep over the growing vertex list multiplies each
     vertex x by the generators s = (v, e) in declaration order, but computes
@@ -257,31 +260,20 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
 
     The cone groups are the minsquare cosets found by `_coset_heads`, one
     edge pass per piece, grouped by (piece, head) in index order."""
-    _check_ball_args(radius, max_vertices)
-    return _cached_ball(graph, radius, bool(electrified), max_vertices)
-
-
-def _check_ball_args(radius, max_vertices):
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
+    return _cached_ball(graph, radius, bool(electrified), max_vertices)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _cached_ball(graph, radius, electrified, max_vertices):
     if electrified:
         return _electrify(_cached_ball(graph, radius, False, max_vertices))
     return _sweep(graph, radius, max_vertices)
 
 
-def _uncached_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP):
-    _check_ball_args(radius, max_vertices)
-    ball = _sweep(graph, radius, max_vertices)
-    return _electrify(ball) if electrified else ball
-
-
-build_ball.__wrapped__ = _uncached_ball
 build_ball.cache_info = _cached_ball.cache_info
 build_ball.cache_clear = _cached_ball.cache_clear
 

@@ -211,13 +211,12 @@ def _has_sc_order2_square(g):
                for row, k in zip(core.rows, core.comp))
 
 
-def _piece_multiset(pieces, shapes, exact=True):
-    """(Counter keyed by isomorphism class, display string, exact flag).
-    Keys are exact canonical keys when `exact` is set and every piece is
-    small enough, degree/order fingerprints otherwise.  `shapes` maps a
-    piece's local (orders, adjacency) to its canonical key; the caller keeps
-    one dict per comparison, so each distinct labelled piece is keyed once."""
-    exact = exact and all(len(p) <= MAX_EXACT_VERTICES for p in pieces)
+def _piece_multiset(pieces, shapes, exact):
+    """(Counter keyed by isomorphism class, display string).  Keys are exact
+    canonical keys when `exact` is set, degree/order fingerprints otherwise.
+    `shapes` maps a piece's local (orders, adjacency) to its canonical key;
+    the caller keeps one dict per comparison, so each distinct labelled
+    piece is keyed once."""
     counter = Counter()
     labels = {}
     for p in pieces:
@@ -232,7 +231,7 @@ def _piece_multiset(pieces, shapes, exact=True):
         if k not in labels:
             labels[k] = piece_label(p)
     shown = sorted(f"{counter[k]} x {labels[k]}" for k in counter)
-    return counter, ("; ".join(shown) or "(none)"), exact
+    return counter, ("; ".join(shown) or "(none)")
 
 
 def compare(ga, gb):
@@ -267,15 +266,14 @@ def compare(ga, gb):
     for name, pieces_a, pieces_b in (
             ("minsquare_types", minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
             ("jinf_types", jinf(ga).members, jinf(gb).members)):
-        ca, da, exa = _piece_multiset(pieces_a, shapes)
-        cb, db, exb = _piece_multiset(pieces_b, shapes)
-        if exa != exb:
-            # one side degraded: compare both by fingerprints for soundness
-            ca, da, exa = _piece_multiset(pieces_a, shapes, exact=False)
-            cb, db, exb = _piece_multiset(pieces_b, shapes, exact=False)
+        # a piece over the cap on either side: both sides by fingerprints,
+        # so the two multisets have keys of one kind
+        exact = all(len(p) <= MAX_EXACT_VERTICES for p in (*pieces_a, *pieces_b))
+        ca, da = _piece_multiset(pieces_a, shapes, exact)
+        cb, db = _piece_multiset(pieces_b, shapes, exact)
         if ca != cb:
             diffs.append((name, da, db))
-        elif not exa:
+        elif not exact:
             notes.append(f"{name}: pieces above {MAX_EXACT_VERTICES} vertices "
                          "compared by degree/order fingerprints only; matching "
                          "fingerprints left this invariant inconclusive")

@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -155,14 +157,18 @@ def test_ball_matches_sweep_over_all_products(corpus_graphs):
     with_pieces = 0
     for g, r in cases:
         for cap in (1, 7, 40, DEFAULT_VERTEX_CAP):
-            # the public build caches, so a plain build that hits the cap is
-            # followed by an electrified build over the same sweep
+            want = {electrified: _ball_outcome(brute_ball, g, r, electrified, cap)
+                    for electrified in (False, True)}
+            # cold: an electrified build with nothing cached
+            build_ball.cache_clear()
+            assert _ball_outcome(build_ball, g, r, True, cap) == want[True], \
+                (g, r, True, cap, "cold")
+            # warm: a plain build (or one that hits the cap) followed by an
+            # electrified build over the same sweep
             for electrified in (False, True):
-                want = _ball_outcome(brute_ball, g, r, electrified, cap)
-                for build in (build_ball.__wrapped__, build_ball):
-                    assert _ball_outcome(build, g, r, electrified, cap) == want, \
-                        (g, r, electrified, cap, build)
-        ball = build_ball.__wrapped__(g, r, True)
+                got = _ball_outcome(build_ball, g, r, electrified, cap)
+                assert got == want[electrified], (g, r, electrified, cap, "warm")
+        ball = build_ball(g, r, True)
         flat = any(ball.level(i) == ball.level(j) for i, j, _ in ball.edges())
         if flat and len(minsquare_subgraphs(g)) >= 2:
             with_pieces += 1
@@ -188,7 +194,8 @@ def test_ball_sweep_computes_only_products_in_the_ball(monkeypatch, corpus_graph
               for order in (2, 4) for k in range(15)]
     for g, r in cases:
         lengths.clear()
-        ball = build_ball.__wrapped__(g, r)
+        build_ball.cache_clear()
+        ball = build_ball(g, r)
         assert max(lengths, default=0) <= r
         flat = sum(1 for i, j, _ in ball.edges() if ball.level(i) == ball.level(j))
         assert len(lengths) == ball.edge_count() + flat
@@ -229,11 +236,31 @@ def test_ball_spellings_share_one_sweep(monkeypatch):
     assert len(pushes) == swept
 
 
+def test_ball_cache_keeps_only_the_last_ball():
+    # a plain and an electrified ball of one graph, then a ball of another:
+    # once their users drop them, the first graph's balls are freed
+    sq = SimplicialGraph("KEEP1", list("abcd"),
+                         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    other = SimplicialGraph("KEEP2", list("abc"), [("a", "b")], {"c": 3})
+    build_ball.cache_clear()
+    ball = build_ball(sq, 4)
+    eball = build_ball(sq, 4, electrified=True)
+    assert eball.verts is ball.verts
+    assert build_ball.cache_info().hits == 1  # the plain sweep was reused
+    refs = [weakref.ref(ball), weakref.ref(eball)]
+    kept = build_ball(other, 3)
+    del ball, eball
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert build_ball(other, 3) is kept
+    assert build_ball.cache_info().currsize == 1
+
+
 def test_cone_edges_match_seen_set(eballs4):
     rng = random.Random(3303)
     balls = list(eballs4.values())
-    balls += [build_ball.__wrapped__(g, 2, True) for g in _graphs_with_pieces(rng, 10)]
-    balls += [build_ball.__wrapped__(make_random_graph(rng, 8, name=f"CE{k}"), 3, True)
+    balls += [build_ball(g, 2, True) for g in _graphs_with_pieces(rng, 10)]
+    balls += [build_ball(make_random_graph(rng, 8, name=f"CE{k}"), 3, True)
               for k in range(20)]
     repeats = 0
     for ball in balls:
@@ -247,9 +274,9 @@ def test_cone_edges_match_seen_set(eballs4):
 def test_cone_edge_count_matches_listed_pairs(eballs4):
     rng = random.Random(3404)
     balls = list(eballs4.values())
-    balls += [build_ball.__wrapped__(g, r, True)
+    balls += [build_ball(g, r, True)
               for g in _graphs_with_pieces(rng, 12) for r in (1, 2)]
-    balls += [build_ball.__wrapped__(make_random_graph(rng, 8, name=f"CC{k}"), 3, True)
+    balls += [build_ball(make_random_graph(rng, 8, name=f"CC{k}"), 3, True)
               for k in range(20)]
     shared = 0
     for ball in balls:
@@ -290,6 +317,9 @@ def test_hyperplane_examples(corpus_graphs):
     e = identity(sq4)
     h1 = hyperplane_of_edge(e, "a")
     assert (h1.label, format_word(h1.coset)) == ("a", "e")
+    # an id is the plain tuple (label, coset)
+    assert h1 == ("a", e) and hash(h1) == hash(("a", e))
+    assert repr(h1) == "Hyp(a|e)"
     # (b, ba) crosses the same hyperplane: opposite sides of the square
     h2 = hyperplane_of_edge(rw(sq4, "b"), "a")
     assert h2 == h1
@@ -345,7 +375,7 @@ def _hyperplane_cases(corpus_graphs):
     cases += [(make_random_graph(rng, 7, max_order=4, name=f"EH{k}"), r)
               for k in range(40) for r in range(4)]
     cases += [(g, r) for g in _graphs_with_pieces(rng, 6) for r in range(3)]
-    return [build_ball.__wrapped__(g, r, electrified)
+    return [build_ball(g, r, electrified)
             for g, r in cases for electrified in (False, True)]
 
 
@@ -374,7 +404,9 @@ def test_edge_hyperplanes_build_no_coset_rep(monkeypatch, corpus_graphs):
     graphs = list(corpus_graphs.values())
     graphs += [make_random_graph(rng, 7, max_order=4, name=f"NC{k}") for k in range(10)]
     for g in graphs:
-        ball = build_ball.__wrapped__(g, 3)
+        # a fresh ball, so its hyperplanes are computed here
+        build_ball.cache_clear()
+        ball = build_ball(g, 3)
         hyp = ball.edge_hyperplanes()
         assert calls == []
         # one id per hyperplane, and its carrier is a ball vertex
@@ -386,7 +418,7 @@ def test_hyperplane_matches_edge_classes(balls3):
     # algebraic ids against union-find over triangles and opposite square sides
     rng = random.Random(8808)
     balls = list(balls3.values())
-    balls += [build_ball.__wrapped__(make_random_graph(rng, 6, max_order=4, name=f"HC{k}"), r)
+    balls += [build_ball(make_random_graph(rng, 6, max_order=4, name=f"HC{k}"), r)
               for k in range(12) for r in (2, 3)]
     for ball in balls:
         by_id = {}

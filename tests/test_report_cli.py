@@ -317,26 +317,69 @@ def test_compare_keys_each_distinct_piece_once(monkeypatch):
     assert checked >= 5
 
 
+def _big(name, cross):
+    """A 14-vertex bipartite graph, 7 + 7, with the cross edges `cross`
+    selects: one piece above the exact-labeling cap."""
+    lines = [f"graph {name}"]
+    left = [f"l{i}" for i in range(7)]
+    right = [f"r{i}" for i in range(7)]
+    for v in left + right:
+        lines.append(f"vertex {v}")
+    for i, u in enumerate(left):
+        for j, w in enumerate(right):
+            if cross(i, j):
+                lines.append(f"edge {u} {w}")
+    return parse_graph("\n".join(lines))
+
+
 def test_compare_fingerprint_degrade():
     # pieces above the exact-labeling cap with equal fingerprints: the piece
     # invariants must stay silent and the notes must say why
-    def big(name, cross):
-        lines = [f"graph {name}"]
-        left = [f"l{i}" for i in range(7)]
-        right = [f"r{i}" for i in range(7)]
-        for v in left + right:
-            lines.append(f"vertex {v}")
-        for i, u in enumerate(left):
-            for j, w in enumerate(right):
-                if cross(i, j):
-                    lines.append(f"edge {u} {w}")
-        return parse_graph("\n".join(lines))
-
-    a = big("BIGA", lambda i, j: True)
-    b = big("BIGB", lambda i, j: True)
+    a = _big("BIGA", lambda i, j: True)
+    b = _big("BIGB", lambda i, j: True)
     v = compare(a, b)
     assert v.verdict == "inconclusive"
     assert any("fingerprints" in note for note in v.notes)
+
+
+def test_compare_one_side_over_cap_keys_by_fingerprint(monkeypatch, corpus_graphs):
+    # one side has a piece over the cap: both sides are keyed by
+    # fingerprints from the start, so no exact key is computed
+    import graphprod.isomorphism
+
+    counts = Counter()
+    _count_calls(monkeypatch, counts, graphprod.isomorphism, "canonical_key")
+    big = _big("BIGA", lambda i, j: True)
+    sq4 = corpus_graphs["SQ4"]
+    big_piece = "1 x 14v49e[2,2,2,2,2,2,2,2,2,2,2,2,2,2]"
+    sq4_piece = "1 x 4v4e[2,2,2,2]"
+    for ga, gb, da, db in ((big, sq4, big_piece, sq4_piece),
+                           (sq4, big, sq4_piece, big_piece)):
+        v = compare(ga, gb)
+        assert v.verdict == "distinguished"
+        sa, sb = str(ga is sq4), str(gb is sq4)
+        assert v.distinguishing_invariants == (
+            ("square_complete_order2_square", sa, sb),
+            ("minsquare_types", da, db),
+            ("jinf_types", da, db))
+        assert v.notes == (
+            "piece types are matched up to isomorphism with order labels, "
+            "which is finer than quasi-isometry of the pieces; matching "
+            "multisets support but never prove quasi-isometry",)
+        a, b = v.pair
+        assert render_comparison(v) == "\n".join([
+            f"{a} vs {b}: distinguished",
+            "  square_complete_order2_square:",
+            f"    {a}: {sa}",
+            f"    {b}: {sb}",
+            "  minsquare_types:",
+            f"    {a}: {da}",
+            f"    {b}: {db}",
+            "  jinf_types:",
+            f"    {a}: {da}",
+            f"    {b}: {db}",
+            "  note: " + v.notes[0]])
+    assert counts["canonical_key"] == 0
 
 
 # --- CLI ----------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphprod.geometry import hyperplane_of_edge
 from graphprod.graphs import GraphMismatchError, SimplicialGraph, parse_graph
 from graphprod.words import (
     Word,
@@ -390,7 +391,8 @@ def _mixed_graph():
 
 def test_copy_and_pickle_round_trip():
     g = _mixed_graph()
-    objects = [g, g.subset(["b", "d"]), rw(g, "a b^2 d^3 c a")]
+    objects = [g, g.subset(["b", "d"]), rw(g, "a b^2 d^3 c a"),
+               hyperplane_of_edge(rw(g, "a b^2 d^3 c a"), "b")]
     for obj in objects:
         for clone in (copy.copy(obj), copy.deepcopy(obj),
                       pickle.loads(pickle.dumps(obj))):
