@@ -23,6 +23,7 @@ from .words import (
     _coset_rep,
     _last_syllables,
     _push,
+    _split_suffix,
     format_word,
     identity,
     invert,
@@ -202,22 +203,39 @@ class CayleyBall:
 
     def edge_hyperplanes(self):
         """Map each plain edge (i, j) to its HyperplaneId (cached).  A
-        v-labelled edge at x is dual to the hyperplane carried by the coset
-        x<star(v)>, named by that coset's head (`_coset_heads`, one edge
-        pass per vertex v); edges of one label and head share one id."""
+        u-labelled edge at x is dual to the hyperplane carried by the coset
+        x<star(u)>, named by that coset's head; edges of one label and head
+        share one id.
+
+        One pass over the edges in recording order runs the `_coset_heads`
+        pass of every star at once: heads[w] is the head table of
+        x<star(w)>, and an edge (i, j), i < j, labelled u lies in star(w)
+        exactly for the w in star(u), so it sets heads[w][j] = heads[w][i]
+        for those.  The edge's id is read from heads[u][i], which is final
+        by then: only edges with upper end i change it, the sweep records
+        each edge while its lower end is swept, and so all of them come
+        before the first edge with lower end i."""
         if self._edge_hyp is None:
+            g = self.graph
             verts = self.verts
-            edges = _labelled_edges(self)
-            heads = {name: _coset_heads(edges, len(verts), mask)
-                     for name, mask in _star_masks(self.graph).items()}
+            heads = [list(range(len(verts))) for _ in range(g.n)]
+            stars = _star_masks(g)
+            # label u -> (heads[u], the tables heads[w] for w in star(u))
+            tables = {
+                u: (heads[v], [heads[w] for w in range(g.n) if stars[u] >> w & 1])
+                for v, u in enumerate(g.vertices)}
             ids = {}
             hyp = {}
             for e, lab in self._edge_label.items():
-                key = (lab, heads[lab][e[0]])
+                i, j = e
+                own, star = tables[lab]
+                key = (lab, own[i])
                 h = ids.get(key)
                 if h is None:
                     h = ids[key] = HyperplaneId(lab, verts[key[1]])
                 hyp[e] = h
+                for head in star:
+                    head[j] = head[i]
             self._edge_hyp = hyp
         return self._edge_hyp
 
@@ -353,7 +371,8 @@ def _labelled_edges(ball):
 def _coset_heads(edges, size, mask):
     """For each of the `size` ball vertices x, the index of its coset's
     head: the shortest member of x<mask>, for the parabolic subgroup given
-    by any vertex mask (a minsquare piece, or the star of a vertex).
+    by a vertex mask (`_electrify` runs it once per minsquare piece;
+    `CayleyBall.edge_hyperplanes` runs the same pass for every star at once).
 
     One pass over `edges` (`_labelled_edges`) in recording order: an edge
     (i, j), i < j, whose label lies in the mask sets head[j] = head[i].
@@ -394,17 +413,23 @@ def hyperplane_of_edge(x, u):
 def separating_hyperplanes(x, y):
     """Hyperplanes crossed by the canonical geodesic from x to y, in crossing
     order.  The entries are pairwise distinct and their set does not depend
-    on the choice of reduced word for x^-1 y."""
+    on the choice of reduced word for x^-1 y.
+
+    The walk keeps the current vertex as a syllable list and pushes the
+    syllables of x^-1 y onto it one at a time, so the only full product is
+    x^-1 y itself; each carrier is the coset representative of the list
+    before its syllable is pushed."""
     w = multiply(invert(x), y)
     g = x.graph
     names = g.vertices
     masks = _star_masks(g)
     out = []
-    cur = x
+    cur = list(x.sylls)
     for s in w.sylls:
         name = names[s[0]]
-        out.append(HyperplaneId(name, _coset_rep(cur, masks[name])))
-        cur = multiply(cur, NormalForm(g, (s,)))
+        pre, _ = _split_suffix(g, cur, masks[name])
+        out.append(HyperplaneId(name, NormalForm(g, pre)))
+        _push(g, cur, s)
     return tuple(out)
 
 
@@ -463,16 +488,56 @@ class FlatGrid:
         return [[self.vertex(i, j) for j in range(q + 1)] for i in range(p + 1)]
 
     def is_isometric(self):
-        grid = self.all_vertices()
-        flat = [(i, j, nf) for i, row in enumerate(grid) for j, nf in enumerate(row)]
-        for a in range(len(flat)):
-            i1, j1, x = flat[a]
-            xinv = invert(x)
-            for b in range(a + 1, len(flat)):
-                i2, j2, y = flat[b]
-                if multiply(xinv, y).length != abs(i1 - i2) + abs(j1 - j2):
-                    return False
+        """True iff every two grid vertices are as far apart as the l1 law
+        says: |x^-1 y| = |i1 - i2| + |j1 - j2| for x = vertex(i1, j1) and
+        y = vertex(i2, j2).
+
+        For each source x the products x^-1 y are walked over the grid
+        after x, row by row, one pushed step at a time.  The steps use only
+        vertex(i, j) = origin h_i v_j, and no commutation, so a grid that is
+        not flat is caught as well:
+
+        * along a row, x^-1 vertex(i, j+1) = x^-1 vertex(i, j) v_j^-1 v_{j+1},
+          the same step in every row;
+        * the next row starts from x^-1 vertex(i+1, 0) =
+          x^-1 vertex(i, 0) vertex(i, 0)^-1 vertex(i+1, 0);
+        * the walk below x's row starts from x^-1 vertex(i1, 0) = v_{j1}^-1 v_0.
+
+        The steps are the only full products, O(size) of them per grid."""
+        p, q = self.size
+        g = self.origin.graph
+        vert = self.vertical
+        starts = [self.vertex(i, 0) for i in range(p + 1)]
+        row_step = [_quotient(starts[i], starts[i + 1]) for i in range(p)]
+        col_step = [_quotient(vert[j], vert[j + 1]) for j in range(q)]
+        to_row = [_quotient(vert[j], vert[0]) for j in range(q + 1)]
+        for i1 in range(p + 1):
+            for j1 in range(q + 1):
+                cur = []  # x^-1 vertex(i1, j) for j = j1, j1 + 1, ...
+                for j in range(j1, q):
+                    for s in col_step[j]:
+                        _push(g, cur, s)
+                    if len(cur) != j + 1 - j1:
+                        return False
+                start = list(to_row[j1])  # x^-1 vertex(i, 0)
+                for i in range(i1, p):
+                    for s in row_step[i]:
+                        _push(g, start, s)
+                    di = i + 1 - i1
+                    if len(start) != di + j1:
+                        return False
+                    cur = start[:]
+                    for j in range(q):
+                        for s in col_step[j]:
+                            _push(g, cur, s)
+                        if len(cur) != di + abs(j + 1 - j1):
+                            return False
         return True
+
+
+def _quotient(a, b):
+    """The syllables of a^-1 b."""
+    return multiply(invert(a), b).sylls
 
 
 def _alternating_prefixes(g, u, v, count):

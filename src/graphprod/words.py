@@ -342,18 +342,37 @@ def _last_syllables(g, sylls):
 
 
 def _split_suffix(g, sylls, allowed_mask):
-    """Mirror of _split_head: (rest, maximal suffix supported in the mask).
-    Here the rest is the part closed under going back, so it is the
-    canonical one."""
-    suf, pre = _split_head(g, sylls[::-1], allowed_mask)
-    return pre[::-1], suf[::-1]
+    """Mirror of _split_head: (rest, maximal suffix supported in the mask),
+    the rest as a tuple and the suffix as a list.  Here the rest is the part
+    closed under going back, so it is the canonical one.
+
+    The backward scan keeps `cand`, the allowed vertices that commute with
+    every syllable kept out so far (each one kept out clears its own vertex
+    and its non-neighbours), and stops once `cand` is empty: no earlier
+    syllable can join the suffix, so all of them belong to the rest as they
+    stand.  A coset representative of a long word thus costs the few
+    syllables at its end."""
+    adj = g._adj_bits
+    suf, rest = [], []
+    cand = allowed_mask
+    k = len(sylls)
+    while cand and k:
+        k -= 1
+        s = sylls[k]
+        v = s[0]
+        if cand >> v & 1:
+            suf.append(s)
+        else:
+            cand &= adj[v]
+            rest.append(s)
+    return (*sylls[:k], *reversed(rest)), suf[::-1]
 
 
 def _coset_rep(x, allowed_mask):
     """The minimal-length representative of the coset x<s>, for s given by
     its vertex mask: the prefix half of strip_suffix alone."""
     pre, _ = _split_suffix(x.graph, x.sylls, allowed_mask)
-    return NormalForm(x.graph, tuple(pre))
+    return NormalForm(x.graph, pre)
 
 
 def strip_suffix(x, s):
@@ -363,7 +382,7 @@ def strip_suffix(x, s):
         raise GraphMismatchError("operands over different graphs")
     g = x.graph
     pre, suf = _split_suffix(g, x.sylls, s.mask)
-    return NormalForm(g, tuple(pre)), _make_nf(g, suf)
+    return NormalForm(g, pre), _make_nf(g, suf)
 
 
 def project_to_parabolic(x, g_elt, s):

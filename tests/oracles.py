@@ -4,7 +4,8 @@ Everything here is deliberately written against the definitions, not against
 the library's algorithms: squares by scanning all 4-subsets, closures by
 intersecting all square-complete supersets, minsquare pieces by enumerating
 every subset, hyperplanes by union-find over ball edges and by one
-coset representative per edge, ball growth by an exact rational generating
+coset representative per edge or per syllable of a geodesic, flat grids by
+one product per pair of vertices, ball growth by an exact rational generating
 function over the clique complex, balls by multiplying every vertex by every
 generator, canonical normal forms by a greedy re-sort of the whole word, and
 canonical graph keys by an individualization-refinement search with no pruning.
@@ -22,7 +23,14 @@ from graphprod.geometry import (
 )
 from graphprod.graphs import SimplicialGraph
 from graphprod.squares import minsquare_subgraphs
-from graphprod.words import NormalForm, _coset_rep, identity, multiply
+from graphprod.words import (
+    NormalForm,
+    _coset_rep,
+    _split_head,
+    identity,
+    invert,
+    multiply,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +209,49 @@ def brute_edge_hyperplanes(ball):
     return {
         (i, j): HyperplaneId(lab, _coset_rep(verts[i], masks[lab]))
         for (i, j), lab in ball._edge_label.items()}
+
+
+def brute_separating_hyperplanes(x, y):
+    """`geometry.separating_hyperplanes` with one `multiply` per syllable:
+    walk the canonical geodesic as normal forms and take each carrier from
+    `_coset_rep` of the current vertex."""
+    w = multiply(invert(x), y)
+    g = x.graph
+    names = g.vertices
+    masks = _star_masks(g)
+    out = []
+    cur = x
+    for s in w.sylls:
+        name = names[s[0]]
+        out.append(HyperplaneId(name, _coset_rep(cur, masks[name])))
+        cur = multiply(cur, NormalForm(g, (s,)))
+    return tuple(out)
+
+
+def brute_split_suffix(g, sylls, allowed_mask):
+    """`words._split_suffix` as the full mirror scan of `_split_head` over
+    the reversed list, with no early stop."""
+    suf, pre = _split_head(g, sylls[::-1], allowed_mask)
+    return pre[::-1], suf[::-1]
+
+
+# ---------------------------------------------------------------------------
+# flat grids pair by pair
+
+
+def brute_is_isometric(grid):
+    """`FlatGrid.is_isometric` by one full product x^-1 y for every pair of
+    grid vertices."""
+    rows = grid.all_vertices()
+    flat = [(i, j, nf) for i, row in enumerate(rows) for j, nf in enumerate(row)]
+    for a in range(len(flat)):
+        i1, j1, x = flat[a]
+        xinv = invert(x)
+        for b in range(a + 1, len(flat)):
+            i2, j2, y = flat[b]
+            if multiply(xinv, y).length != abs(i1 - i2) + abs(j1 - j2):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

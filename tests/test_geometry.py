@@ -10,6 +10,7 @@ from graphprod import geometry, words
 from graphprod.geometry import (
     DEFAULT_VERTEX_CAP,
     BallCapExceeded,
+    FlatGrid,
     build_ball,
     electrified_distance,
     flat_witness,
@@ -18,7 +19,12 @@ from graphprod.geometry import (
     separating_hyperplanes,
     transverse,
 )
-from graphprod.graphs import SimplicialGraph, parse_graph
+from graphprod.graphs import (
+    SimplicialGraph,
+    induced_squares,
+    parse_graph,
+    square_diagonals,
+)
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import (
     Word,
@@ -34,6 +40,8 @@ from oracles import (
     brute_ball,
     brute_cone_edges,
     brute_edge_hyperplanes,
+    brute_is_isometric,
+    brute_separating_hyperplanes,
     edge_class_partition,
     growth_counts,
     make_random_graph,
@@ -42,6 +50,13 @@ from oracles import (
 
 def rw(g, text):
     return reduce_word(parse_word(g, text))
+
+
+def random_element(rng, g, length):
+    """The normal form of `length` random syllables (shorter after reduction)."""
+    sylls = [(v, rng.randint(1, g.order(v) - 1))
+             for v in (rng.choice(g.vertices) for _ in range(length))]
+    return reduce_word(Word(g, sylls))
 
 
 # --- balls -------------------------------------------------------------------
@@ -366,6 +381,46 @@ def test_separating_set_invariant_under_shuffles():
                 assert len(set(seq)) == len(seq)
 
 
+def test_separating_hyperplanes_match_per_syllable_oracle():
+    # long reduced words, where the carriers come from early-stopping splits
+    rng = random.Random(1203)
+    lengths = []
+    for k in range(60):
+        g = make_random_graph(rng, 7, max_order=4, name=f"SL{k}")
+        x = random_element(rng, g, rng.randint(0, 120))
+        y = random_element(rng, g, rng.randint(0, 120))
+        sep = separating_hyperplanes(x, y)
+        assert sep == brute_separating_hyperplanes(x, y)
+        lengths.append(len(sep))
+    assert max(lengths) >= 60
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that gains one entry per `geometry.multiply` call."""
+    calls = []
+    mult = geometry.multiply
+
+    def counting_multiply(x, y):
+        calls.append(1)
+        return mult(x, y)
+
+    monkeypatch.setattr(geometry, "multiply", counting_multiply)
+    return calls
+
+
+def test_separating_hyperplanes_one_product(products):
+    # the walk pushes syllables; x^-1 y is the only full product
+    rng = random.Random(1204)
+    for k in range(20):
+        g = make_random_graph(rng, 6, max_order=4, name=f"SP{k}")
+        x, y = random_element(rng, g, 30), random_element(rng, g, 30)
+        products.clear()
+        sep = separating_hyperplanes(x, y)
+        assert len(products) == 1
+        assert len(sep) == multiply(invert(x), y).length
+
+
 def _hyperplane_cases(corpus_graphs):
     """Corpus balls at radius 0..4, seeded random graphs with vertex orders
     2..4 at radius 0..3 and graphs with two or more pieces at radius 0..2,
@@ -493,6 +548,46 @@ def test_flat_grid_diag_witness(corpus_graphs):
     assert grid.is_isometric()
     ray_supports = {nf.support for nf in grid.vertical}
     assert any(not (s <= set("abcd")) for s in ray_supports)
+
+
+def test_is_isometric_matches_pairwise_oracle(corpus_graphs):
+    rng = random.Random(1205)
+    graphs = list(corpus_graphs.values())
+    while len(graphs) < len(corpus_graphs) + 30:
+        g = make_random_graph(rng, 7, max_order=4, name=f"FG{len(graphs)}")
+        if induced_squares(g):
+            graphs.append(g)
+    witnesses = []
+    for g in graphs:
+        squares = induced_squares(g)
+        for q in rng.sample(squares, min(3, len(squares))):
+            d1, d2 = square_diagonals(q)
+            origin = random_element(rng, g, rng.randint(0, 6))
+            witnesses.append(flat_witness(g, d1, d2, rng.randint(0, 6), origin))
+    assert len(witnesses) >= 60
+    for grid in witnesses:
+        assert grid.is_isometric() is brute_is_isometric(grid) is True
+    # hand-built grids with arbitrary normal forms on both axes: mostly not
+    # flat, so the walk's early exits are checked against the oracle too
+    answers = []
+    for _ in range(300):
+        g = rng.choice(graphs)
+        p, q = rng.randint(0, 4), rng.randint(0, 4)
+        axis = [random_element(rng, g, rng.randint(0, 3)) for _ in range(p + q + 2)]
+        grid = FlatGrid(origin=random_element(rng, g, rng.randint(0, 4)),
+                        horizontal=tuple(axis[:p + 1]), vertical=tuple(axis[p + 1:]),
+                        size=(p, q))
+        answers.append(grid.is_isometric())
+        assert answers[-1] is brute_is_isometric(grid)
+    assert answers.count(False) >= 200 and answers.count(True) >= 10
+
+
+def test_is_isometric_multiplies_per_step_not_per_pair(products, corpus_graphs):
+    # at size 6 (V = 49) the pairwise check made V(V-1)/2 + 2V products
+    grid = flat_witness(corpus_graphs["SQ4"], ("a", "c"), ("b", "d"), 6)
+    products.clear()
+    assert grid.is_isometric()
+    assert len(products) <= 4 * 49
 
 
 # --- electrification ---------------------------------------------------------------

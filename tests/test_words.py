@@ -14,6 +14,7 @@ from graphprod.geometry import hyperplane_of_edge
 from graphprod.graphs import GraphMismatchError, SimplicialGraph, parse_graph
 from graphprod.words import (
     Word,
+    _split_suffix,
     WordParseError,
     format_word,
     head,
@@ -27,7 +28,7 @@ from graphprod.words import (
     strip_suffix,
 )
 
-from oracles import brute_canonical, brute_reduce, make_random_graph
+from oracles import brute_canonical, brute_reduce, brute_split_suffix, make_random_graph
 
 
 def rw(g, text):
@@ -240,6 +241,21 @@ def test_strip_suffix_is_min_coset_representative(corpus_graphs):
             # mirrored fixed point
             _, suf2 = strip_suffix(rep, s)
             assert suf2 == identity(g)
+
+
+def test_split_suffix_early_stop_matches_full_scan():
+    # every vertex mask, the empty and the full one included
+    rng = random.Random(89)
+    for k in range(40):
+        g = make_random_graph(rng, 7, max_order=4, name=f"SS{k}")
+        for length in (0, 3, 12, 40):
+            sylls = [(v, rng.randint(1, g.order(v) - 1))
+                     for v in (rng.choice(g.vertices) for _ in range(length))]
+            x = reduce_word(Word(g, sylls)).sylls
+            for mask in range(1 << g.n):
+                pre, suf = _split_suffix(g, x, mask)
+                full_pre, full_suf = brute_split_suffix(g, x, mask)
+                assert (pre, suf) == (tuple(full_pre), full_suf)
 
 
 def test_projection_examples(corpus_graphs):
