@@ -303,8 +303,16 @@ def _sweep(graph, radius, max_vertices):
     index = {ident.sylls: 0}
     edge_label = {}
     orders = graph._orders_ix
-    gens = [(v, e, graph.vertices[v], (v, e))
-            for v in range(graph.n) for e in range(1, orders[v])]
+    # The identity alone is the radius-0 ball.  At radius 1 and more its
+    # neighbours are the Σ(order - 1) generators, all distinct, so past the
+    # cap the sweep stops on its first vertex: check that before listing
+    # generators, whose number the cap does not bound.
+    gens = []
+    if radius > 0:
+        if 1 + sum(k - 1 for k in orders) > max_vertices:
+            raise BallCapExceeded(max_vertices, 0)
+        gens = [(v, e, graph.vertices[v], (v, e))
+                for v in range(graph.n) for e in range(1, orders[v])]
     # Vertices come level by level, so every vertex within the radius
     # exists before the outermost level is swept, and that level only adds
     # the edges among existing vertices, by amalgamation.

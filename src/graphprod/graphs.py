@@ -388,12 +388,99 @@ def _bits(mask):
 _LEX_ORDER_MAX_N = 16
 
 
+def _square_pairs(adj):
+    """The non-adjacent pairs {x, z} that carry an induced square: one dict
+    per lower vertex x mapping z > x to F, the members of C = N(x) & N(z)
+    with a non-neighbour in C; the mask of each vertex's partners in such
+    pairs; and the number of squares.
+
+    The squares with diagonal {x, z} are the non-adjacent pairs inside C,
+    so only a z that two different neighbours of x reach can carry one,
+    and a pair with |C| = 2 carries one iff the two are non-adjacent.
+    Each square has two diagonals, so the non-edges inside the C's of all
+    pairs count every square twice."""
+    n = len(adj)
+    table = []
+    partners = [0] * n
+    ends = 0            # non-edges inside the C's, each counted at both ends
+    for x in range(n):
+        ax = adj[x]
+        reach = twice = 0
+        m = ax
+        while m:
+            low = m & -m
+            m ^= low
+            ay = adj[low.bit_length() - 1]
+            twice |= reach & ay
+            reach |= ay
+        row = {}
+        m = twice & ~ax & (-2 << x)
+        while m:
+            low = m & -m
+            m ^= low
+            z = low.bit_length() - 1
+            common = ax & adj[z]
+            rest = common & (common - 1)
+            if rest & (rest - 1) == 0:
+                # two common neighbours: a square iff they are non-adjacent
+                if adj[rest.bit_length() - 1] & common:
+                    continue
+                f = common
+                ends += 2
+            else:
+                f = 0
+                c = common
+                while c:
+                    b = c & -c
+                    c ^= b
+                    k = (common & ~adj[b.bit_length() - 1]).bit_count() - 1
+                    if k:
+                        f |= b
+                        ends += k
+                if not f:
+                    continue
+            row[z] = f
+            partners[x] |= low
+            partners[z] |= 1 << x
+        table.append(row)
+    return table, partners, ends // 4
+
+
+def _list_squares(adj, pairs):
+    """(mask, diagonal 1, diagonal 2) of the squares through the pairs
+    (x, z, F), x < z, that have x as their least vertex, in canonical order;
+    diagonal 1 is the one through the least vertex, as in _diagonals.  Over
+    all pairs this lists each square once, from that diagonal."""
+    rows = []
+    for x, z, f in pairs:
+        d1 = (1 << x) | (1 << z)
+        f &= -2 << x
+        rest = f
+        while rest:
+            y = rest & -rest
+            rest ^= y
+            m = f & ~adj[y.bit_length() - 1] & -(y << 1)
+            while m:
+                w = m & -m
+                m ^= w
+                rows.append((d1 | y | w, d1, y | w))
+    if len(adj) <= _LEX_ORDER_MAX_N:
+        rows.sort(key=lambda r: tuple(_bits(r[0])))
+    else:
+        rows.sort()
+    return rows
+
+
+def _all_pairs(table):
+    return ((x, z, f) for x, row in enumerate(table) for z, f in row.items())
+
+
 def induced_squares(g):
     """All induced 4-cycles of g, as 4-element VertexSets in canonical order.
 
     Output-sensitive: each square is found once, from the diagonal through
     its least vertex x, as a non-adjacent pair (y, w) of common neighbours
-    of x and a vertex z > x at distance 2.
+    of x and a vertex z > x (see _square_pairs).
 
     >>> g = parse_graph("graph SQ4\\nvertex a\\nvertex b\\nvertex c\\nvertex d\\n"
     ...                 "edge a b\\nedge b c\\nedge c d\\nedge d a")
@@ -401,26 +488,8 @@ def induced_squares(g):
     ({a,b,c,d},)
     """
     adj = g._adj_bits
-    masks = []
-    for x in range(g.n):
-        above = -1 << (x + 1)          # indices greater than x
-        nbrs = adj[x] & above
-        reach = 0
-        for y in _bits(nbrs):
-            reach |= adj[y]
-        for z in _bits(reach & above & ~adj[x]):
-            common = nbrs & adj[z]
-            if common & (common - 1) == 0:
-                continue
-            pair = (1 << x) | (1 << z)
-            for y in _bits(common):
-                for w in _bits(common & ~adj[y] & (-1 << (y + 1))):
-                    masks.append(pair | (1 << y) | (1 << w))
-    if g.n <= _LEX_ORDER_MAX_N:
-        masks.sort(key=lambda m: tuple(_bits(m)))
-    else:
-        masks.sort()
-    return tuple(_set_from_mask(g, m) for m in masks)
+    table = _square_pairs(adj)[0]
+    return tuple(_set_from_mask(g, r[0]) for r in _list_squares(adj, _all_pairs(table)))
 
 
 def square_diagonals(s):

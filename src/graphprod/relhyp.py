@@ -72,16 +72,21 @@ def jinf(g):
     'hyperbolic'
     """
     core = _core(g)
-    collection = sorted(row[0] for row in core.rows)
-    if not collection:
+    if not core.n_squares:
         return PeripheralStructure(members=(), iterations=0, status="hyperbolic")
     # the first step's merge is the core's components of the squares
-    nxt = sorted({_cp_mask(g, m) for m in core.unions})
+    collection = sorted({_cp_mask(g, m) for m in core.unions})
+    # the first step gives back the squares iff it gives n_squares members
+    # of 4 vertices (fact 6 of the squares module)
     iterations = 0
-    while nxt != collection:
-        collection = nxt
-        nxt = _step(g, collection)
-        iterations += 1
+    if len(collection) != core.n_squares \
+            or any(m.bit_count() != 4 for m in collection):
+        while True:
+            nxt = _step(g, collection)
+            iterations += 1
+            if nxt == collection:
+                break
+            collection = nxt
     full = (1 << g.n) - 1
     status = "trivial" if any(m == full for m in collection) else "proper"
     members = tuple(_set_from_mask(g, m) for m in collection)

@@ -29,6 +29,7 @@ from .relhyp import jinf
 from .squares import (
     _closures,
     _core,
+    _electrification_verdict,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
@@ -114,7 +115,7 @@ class AnalysisReport:
 
 def analyze(g):
     per = jinf(g)
-    n_squares = len(_core(g).rows)
+    n_squares = _core(g).n_squares
     return AnalysisReport(
         graph_name=g.name,
         n_vertices=g.n,
@@ -204,11 +205,13 @@ def _has_join_form(g):
 
 
 def _has_sc_order2_square(g):
-    # a square is square-complete iff its closure adds nothing
+    # a square is square-complete iff its component is that square alone
+    # (a union of 4 vertices) and the closure adds nothing
     core = _closures(g)
-    return any(core.closures[k] == row[0]
-               and all(g._orders_ix[i] == 2 for i in _bits(row[0]))
-               for row, k in zip(core.rows, core.comp))
+    orders = g._orders_ix
+    return any(u.bit_count() == 4 and c == u
+               and all(orders[i] == 2 for i in _bits(u))
+               for u, c in zip(core.unions, core.closures))
 
 
 def _piece_multiset(pieces, shapes, exact):
@@ -257,8 +260,7 @@ def compare(ga, gb):
     if sa != sb:
         diffs.append(("square_complete_order2_square", str(sa), str(sb)))
 
-    ea, eb = electrification_hyperbolic(ga).hyperbolic, \
-        electrification_hyperbolic(gb).hyperbolic
+    ea, eb = _electrification_verdict(ga), _electrification_verdict(gb)
     if ea != eb:
         diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
 

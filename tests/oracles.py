@@ -2,13 +2,15 @@
 
 Everything here is deliberately written against the definitions, not against
 the library's algorithms: squares by scanning all 4-subsets, closures by
-intersecting all square-complete supersets, minsquare pieces by enumerating
-every subset, hyperplanes by union-find over ball edges and by one
-coset representative per edge or per syllable of a geodesic, flat grids by
-one product per pair of vertices, ball growth by an exact rational generating
-function over the clique complex, balls by multiplying every vertex by every
-generator, canonical normal forms by a greedy re-sort of the whole word, and
-canonical graph keys by an individualization-refinement search with no pruning.
+intersecting all square-complete supersets, the square core by one row per
+square (the design the diagonal-pair core replaced), minsquare pieces by
+enumerating every subset, hyperplanes by union-find over ball edges and by
+one coset representative per edge or per syllable of a geodesic, flat grids
+by one product per pair of vertices, ball growth by an exact rational
+generating function over the clique complex, balls by multiplying every
+vertex by every generator, canonical normal forms by a greedy re-sort of the
+whole word, and canonical graph keys by an individualization-refinement
+search with no pruning.
 """
 
 from fractions import Fraction
@@ -21,7 +23,14 @@ from graphprod.geometry import (
     HyperplaneId,
     _star_masks,
 )
-from graphprod.graphs import SimplicialGraph
+from graphprod.graphs import (
+    _LEX_ORDER_MAX_N,
+    SimplicialGraph,
+    _bits,
+    _diagonals,
+    _merge_overlapping,
+)
+from graphprod.relhyp import _step
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import (
     NormalForm,
@@ -138,6 +147,103 @@ def brute_jinf(g):
         collection = nxt
         iterations += 1
     return collection, iterations
+
+
+# ---------------------------------------------------------------------------
+# the row-based square core: one row per induced square
+
+
+def row_squares(g):
+    """Square masks of g in canonical order: each square listed once, from
+    the diagonal through its least vertex x, as a non-adjacent pair of
+    common neighbours above x of x and a vertex z > x at distance 2."""
+    adj = g._adj_bits
+    masks = []
+    for x in range(g.n):
+        above = -1 << (x + 1)
+        nbrs = adj[x] & above
+        reach = 0
+        for y in _bits(nbrs):
+            reach |= adj[y]
+        for z in _bits(reach & above & ~adj[x]):
+            common = nbrs & adj[z]
+            pair = (1 << x) | (1 << z)
+            for y in _bits(common):
+                for w in _bits(common & ~adj[y] & (-1 << (y + 1))):
+                    masks.append(pair | (1 << y) | (1 << w))
+    if g.n <= _LEX_ORDER_MAX_N:
+        masks.sort(key=lambda m: tuple(_bits(m)))
+    else:
+        masks.sort()
+    return masks
+
+
+def row_closure(rows, seed):
+    """(result mask, steps) of the closure of seed by scanning the square
+    rows (mask, diagonal 1, diagonal 2) in order, again and again until
+    nothing is absorbed; a step is (square mask, trigger diagonal mask)."""
+    cur = seed
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for sq, d1, d2 in rows:
+            if sq & ~cur:
+                if d1 & ~cur == 0:
+                    trigger = d1
+                elif d2 & ~cur == 0:
+                    trigger = d2
+                else:
+                    continue
+                steps.append((sq, trigger))
+                cur |= sq
+                changed = True
+    return cur, steps
+
+
+class RowSquareCore:
+    """The square data of a graph held as one row per induced square.
+
+    rows      (mask, diagonal 1, diagonal 2) per square, in canonical order
+    comp      component index of each square, squares joined when they
+              share a non-adjacent pair
+    unions    vertex mask of each component
+    closures  row_closure result of each component's union
+    minimal   the minimal closures, ascending
+    uncovered square masks whose closure is not minimal, in row order
+    """
+
+    def __init__(self, g):
+        self.graph = g
+        masks = row_squares(g)
+        self.rows = [(m, *_diagonals(g._adj_bits, m)) for m in masks]
+        self.comp, self.unions = _merge_overlapping(g, masks)
+        self.closures = [row_closure(self.rows, u)[0] for u in self.unions]
+        closures = sorted(set(self.closures))
+        self.minimal = tuple(c for c in closures
+                             if not any(o != c and o & ~c == 0 for o in closures))
+        minimal = set(self.minimal)
+        self.uncovered = [row[0] for row, k in zip(self.rows, self.comp)
+                          if self.closures[k] not in minimal]
+
+    def is_square_complete(self, mask):
+        return not any(sq & ~mask and (d1 & ~mask == 0 or d2 & ~mask == 0)
+                       for sq, d1, d2 in self.rows)
+
+    def jinf(self):
+        """(member masks, iterations) of the merge-and-pad iteration started
+        from the sorted square masks."""
+        g = self.graph
+        collection = sorted(row[0] for row in self.rows)
+        if not collection:
+            return [], 0
+        nxt = _step(g, collection)
+        iterations = 0
+        while nxt != collection:
+            collection = nxt
+            nxt = _step(g, collection)
+            iterations += 1
+        return collection, iterations
 
 
 def brute_join_split_exists(g):

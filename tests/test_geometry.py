@@ -134,6 +134,28 @@ def test_ball_cap(corpus_graphs):
     assert exc.value.radius_reached == 2
 
 
+def test_ball_cap_checked_before_listing_generators():
+    # past the cap on the identity's neighbours, and at radius 0, the sweep
+    # lists none of the 200,000 generators
+    g = SimplicialGraph("BIG", ["a"], orders={"a": 200_001})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallCapExceeded) as exc:
+            build_ball(g, 1, max_vertices=10)
+        assert build_ball(g, 0, max_vertices=10).vertex_count == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.radius_reached == 0
+    assert peak < 1 << 20
+    # at either side of the cap, the outcome is the product-by-product one
+    for order in (10, 11, 12):
+        small = SimplicialGraph("SMALL", ["a", "b"], orders={"a": order})
+        for radius in range(3):
+            assert _ball_outcome(build_ball, small, radius, False, 11) == \
+                _ball_outcome(brute_ball, small, radius, False, 11)
+
+
 def _ball_outcome(build, g, radius, electrified, cap):
     """Everything a build leaves behind, dict orders included, or the cap
     it hit."""

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from graphprod.cli import main
 from graphprod.corpus import CORPUS_NAMES, corpus_text
-from graphprod.graphs import SimplicialGraph, induced_squares, parse_graph
+from graphprod.graphs import SimplicialGraph, induced_squares, parse_graph, square_diagonals
 from graphprod.isomorphism import canonical_key, fingerprint, piece_label
 from graphprod.relhyp import jinf
 from graphprod.report import analyze, compare, render_comparison, render_report
@@ -166,16 +167,28 @@ def test_analyze_computes_square_data_once(monkeypatch, corpus_graphs):
     import graphprod.squares
 
     counts = Counter()
+    _count_calls(monkeypatch, counts, graphprod.graphs, "_square_pairs")
     _count_calls(monkeypatch, counts, graphprod.graphs, "induced_squares")
     _count_calls(monkeypatch, counts, graphprod.squares, "square_complete_closure")
+    _count_calls(monkeypatch, counts, graphprod.graphs, "_list_squares")
     rng = random.Random(55)
     graphs = [parse_graph(corpus_text(name)) for name in CORPUS_NAMES]
     graphs += [make_random_graph(rng, 12, name=f"C{k}") for k in range(20)]
+    uncovered = 0
     for g in graphs:
         counts.clear()
-        analyze(g)
-        assert counts["induced_squares"] == 1
-        assert counts["square_complete_closure"] <= len(induced_squares(g))
+        rep = analyze(g)
+        compare(g, g)
+        # one pair table, shared by analyze and compare; no traced closure,
+        # and squares listed only as the uncovered squares analyze reports
+        listed = bool(rep.electrification.uncovered)
+        assert counts == Counter({"_square_pairs": 1, "_list_squares": listed})
+        copy = pickle.loads(pickle.dumps(g))
+        counts.clear()
+        compare(copy, copy)
+        assert counts == Counter({"_square_pairs": 1})
+        uncovered += listed
+    assert uncovered >= 1
 
 
 def _square_components(g):
@@ -196,7 +209,7 @@ def test_analyze_closes_each_square_component_once(monkeypatch):
     import graphprod.squares
 
     counts = Counter()
-    _count_calls(monkeypatch, counts, graphprod.squares, "square_complete_closure")
+    _count_calls(monkeypatch, counts, graphprod.squares, "_close")
     _count_calls(monkeypatch, counts, graphprod.graphs, "_merge_overlapping")
     rng = random.Random(56)
     graphs = [parse_graph(corpus_text(name)) for name in CORPUS_NAMES]
@@ -206,10 +219,10 @@ def test_analyze_closes_each_square_component_once(monkeypatch):
         counts.clear()
         rep = analyze(g)
         components = _square_components(g)
-        assert counts["square_complete_closure"] == components
-        # one merge of the squares, shared by the core, cfs_check and the
-        # first jinf step, then one per further jinf step
-        assert counts["_merge_overlapping"] == 1 + rep.jinf_iterations
+        assert counts["_close"] == components
+        # the core's components are the first jinf step's merge; each
+        # further jinf step merges its members once
+        assert counts["_merge_overlapping"] == rep.jinf_iterations
         fewer += components < len(induced_squares(g))
     assert fewer >= 10
 
@@ -224,8 +237,10 @@ def test_component_closures_match_square_closures():
         g = SimplicialGraph(f"D{n}", verts, [
             (u, v) for u, v in combinations(verts, 2) if rng.random() < p])
         core = _closures(g)
-        for q, k in zip(induced_squares(g), core.comp):
-            assert square_complete_closure(q).result.mask == core.closures[k]
+        comp_of = {pair: k for k, pairs in enumerate(core.comps) for pair in pairs}
+        for q in induced_squares(g):
+            pair = tuple(g.index(v) for v in square_diagonals(q)[0])
+            assert square_complete_closure(q).result.mask == core.closures[comp_of[pair]]
 
 
 def test_analysis_leaves_no_cyclic_garbage():
@@ -412,6 +427,16 @@ def test_cli_ball_cap_exit_code(corpus_files, capsys):
     assert main(["ball", corpus_files["C5"], "--radius", "9",
                  "--max-vertices", "30", "--count-only"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_cli_ball_huge_order_stops_at_cap(tmp_path, capsys):
+    # a vertex group of order 10**12: radius 1 passes the cap at once
+    path = tmp_path / "huge.gg"
+    path.write_text("graph HUGE\nvertex a order=1000000000000\n")
+    assert main(["ball", str(path), "--radius", "1", "--count-only"]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert main(["ball", str(path), "--radius", "0", "--count-only"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def _one_line_error(capsys):

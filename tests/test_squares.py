@@ -1,7 +1,12 @@
 import random
+from collections import Counter
+from itertools import combinations
 
-from graphprod.graphs import SimplicialGraph
+from graphprod.graphs import _LEX_ORDER_MAX_N, SimplicialGraph, _bits, _set_from_mask
+from graphprod.relhyp import jinf
 from graphprod.squares import (
+    _close,
+    _closures,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
@@ -13,10 +18,12 @@ from graphprod.squares import (
 )
 
 from oracles import (
+    RowSquareCore,
     brute_closure,
     brute_is_square_complete,
     brute_minsquare,
     make_random_graph,
+    row_closure,
 )
 
 
@@ -202,3 +209,66 @@ def test_cfs_matches_direct_search(random_graphs_9):
         expected = any(c == set(g.vertices) for c in covered.values()) \
             if squares else g.n == 0
         assert cfs_check(g) == expected
+
+
+def _gnp_10_40():
+    """Two seeded G(n, p) graphs for each even n from 10 to 40, p 0.2-0.7,
+    about a third of the vertices with order 3."""
+    rng = random.Random(2612)
+    out = []
+    for n in range(10, 41, 2):
+        for k in range(2):
+            verts = [f"v{i}" for i in range(n)]
+            p = rng.uniform(0.2, 0.7)
+            edges = [(u, v) for u, v in combinations(verts, 2) if rng.random() < p]
+            orders = {v: 3 for v in verts if rng.random() < 0.3}
+            out.append(SimplicialGraph(f"G{n}_{k}", verts, edges, orders))
+    return out
+
+
+def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
+    rng = random.Random(1212)
+    seen = Counter()
+    for g in list(corpus_graphs.values()) + random_graphs_9 + _gnp_10_40():
+        old = RowSquareCore(g)
+        new = _closures(g)
+        assert new.n_squares == len(old.rows)
+        # a square's component is that of either diagonal; the two cores'
+        # components must correspond one to one
+        comp_of = {pair: k for k, pairs in enumerate(new.comps) for pair in pairs}
+        match = {}
+        for (_, d1, d2), k in zip(old.rows, old.comp):
+            here = comp_of[tuple(_bits(d1))]
+            assert comp_of[tuple(_bits(d2))] == here
+            assert match.setdefault(k, here) == here
+        assert sorted(match.values()) == list(range(len(new.comps)))
+        for k, here in match.items():
+            assert new.unions[here] == old.unions[k]
+            assert new.closures[here] == old.closures[k]
+        assert new.minimal == old.minimal
+        res = electrification_hyperbolic(g)
+        assert [q.mask for q in res.uncovered] == old.uncovered
+        assert res.hyperbolic == (not old.uncovered)
+        members, iterations = old.jinf()
+        per = jinf(g)
+        assert [m.mask for m in per.members] == members
+        assert per.iterations == iterations
+        for _ in range(4):
+            mask = rng.getrandbits(g.n)
+            s = _set_from_mask(g, mask)
+            assert is_square_complete(s) == old.is_square_complete(mask)
+            want, steps = row_closure(old.rows, mask)
+            assert _close(new, mask) == want
+            tr = square_complete_closure(s)
+            assert tr.result.mask == want
+            assert [(q.mask, sum(1 << g.index(v) for v in d)) for q, d in tr.steps] == steps
+        if old.rows:
+            assert new.rows == old.rows
+            masks = [row[0] for row in old.rows]
+            if sorted(masks) != sorted(masks, key=lambda m: tuple(_bits(m))):
+                seen["lex order" if g.n <= _LEX_ORDER_MAX_N else "mask order"] += 1
+            seen["jinf step 0"] += iterations == 0
+            seen["uncovered"] += bool(old.uncovered)
+            seen["jinf steps"] += iterations > 0
+    for case in ("lex order", "mask order", "jinf step 0", "uncovered", "jinf steps"):
+        assert seen[case] >= 3, (case, seen)
