@@ -1,20 +1,24 @@
 """Full invariant reports and pairwise quasi-isometry comparison.
 
 `analyze` computes every decision procedure in the library for one graph and
-packages the results; `compare` confronts two graphs on the invariants that
-are actually transported by quasi-isometries of the groups: hyperbolicity,
-the minsquare-graph/join-form condition, existence of a square-complete
-square with all orders 2, hyperbolicity of the electrification, and the
-isomorphism types (with order labels) of the minsquare subgraphs and of the
-peripheral members.  Matching on all counts is reported as "inconclusive",
-never as a positive quasi-isometry claim.
+packages the results; `compare` confronts two graphs on hyperbolicity, the
+minsquare-graph/join-form condition, existence of a square-complete square
+with all orders 2, hyperbolicity of the electrification, and the isomorphism
+types (with order labels) of the minsquare subgraphs and of the peripheral
+members.  The piece types are not quasi-isometry invariants: isomorphism is
+finer than quasi-isometry, so two quasi-isometric groups can have pieces of
+different types, and a verdict that rests only on `minsquare_types` or
+`jinf_types` proves nothing (the note `_FOOTNOTE` says so in every verdict).
+Matching on all counts is reported as "inconclusive", never as a positive
+quasi-isometry claim.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
+from json import loads
+from json.encoder import encode_basestring_ascii as _str
 
 from . import __version__
 from .isomorphism import (
@@ -24,12 +28,12 @@ from .isomorphism import (
     fingerprint,
     piece_label,
 )
-from .geometry import is_essential
 from .relhyp import jinf
 from .squares import (
     _closures,
     _core,
     _electrification_verdict,
+    _morse_dichotomy,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
@@ -41,6 +45,88 @@ from .graphs import _bits, clique_number, core_decomposition
 
 __all__ = ["AnalysisReport", "ComparisonVerdict", "analyze", "compare",
            "render_report", "render_comparison"]
+
+# The JSON of both classes is written by hand, laid out byte for byte as
+# json.dumps(indent=2, sort_keys=True) lays out the same values: keys in
+# sorted order, a newline and two spaces per level before each item, a
+# container closing at the indentation of the level above, ASCII string
+# escapes.  The fixed part of each layout is a template below; the lists
+# are joined into it.
+_REPORT_JSON = """{
+  "cfs": %s,
+  "clique_number": %d,
+  "core": {
+    "lambda0": %s,
+    "lambda1": %s
+  },
+  "electrification_hyperbolic": {
+    "hyperbolic": %s,
+    "uncovered_squares": %s
+  },
+  "essential": %s,
+  "graph_name": %s,
+  "hyperbolic": %s,
+  "is_minsquare_graph": %s,
+  "jinf_iterations": %d,
+  "jinf_members": %s,
+  "minsquare_subgraphs": %s,
+  "morse_all_hyperbolic": {
+    "all_hyperbolic": %s,
+    "certificate": %s
+  },
+  "n_induced_squares": %d,
+  "n_vertices": %d,
+  "orders": %s,
+  "rh_status": %s,
+  "square_free": %s,
+  "tool_version": %s
+}"""
+_PIECE_JSON = """{
+      "orders": %s,
+      "vertices": %s
+    }"""
+_SQUARE_FREE_JSON = """{
+      "kind": "square-free"
+    }"""
+_JOIN_JSON = """{
+      "complete_part": %s,
+      "kind": "join",
+      "minsquare_part": %s
+    }"""
+_NO_JOIN_JSON = """{
+      "explanation": %s,
+      "kind": "none"
+    }"""
+_VERDICT_JSON = """{
+  "distinguishing_invariants": %s,
+  "notes": %s,
+  "pair": %s,
+  "verdict": %s
+}"""
+_DIFF_JSON = """{
+      "a": %s,
+      "b": %s,
+      "invariant": %s
+    }"""
+_I1, _I2, _I3 = ("\n" + "  " * d for d in range(1, 4))
+
+
+def _array(items, ind, opening="[", closing="]"):
+    """A JSON array of written items that closes at indentation `ind` (a
+    newline and the spaces); an object when given braces."""
+    if not items:
+        return opening + closing
+    inner = ind + "  "
+    return opening + inner + ("," + inner).join(items) + ind + closing
+
+
+def _vertex_list(names, mask, ind):
+    return _array([names[i] for i in _bits(mask)], ind)
+
+
+def _bool(x):
+    return "true" if x else "false"
+
 
 _FOOTNOTE = ("piece types are matched up to isomorphism with order labels, "
              "which is finer than quasi-isometry of the pieces; matching "
@@ -68,54 +154,65 @@ class AnalysisReport:
     rh_status: str
     tool_version: str
 
-    def to_dict(self):
+    def to_json(self):
+        """The report as `json.dumps(..., indent=2, sort_keys=True)` would
+        write its dict.  Vertex lists are read off the masks through one
+        table of encoded vertex names; `orders` are the graph's."""
         lam0, lam1 = self.core
+        g = lam0.graph
+        names = [_str(v) for v in g.vertices]
+        orders = g._orders_ix
+
         cert = self.morse.certificate
         if isinstance(cert, str) and cert == "square-free":
-            cert_d = {"kind": "square-free"}
+            cert_json = _SQUARE_FREE_JSON
         elif isinstance(cert, tuple):
-            cert_d = {"kind": "join",
-                      "minsquare_part": list(cert[0].sorted),
-                      "complete_part": list(cert[1].sorted)}
+            cert_json = _JOIN_JSON % (_vertex_list(names, cert[1].mask, _I3),
+                                      _vertex_list(names, cert[0].mask, _I3))
         else:
-            cert_d = {"kind": "none", "explanation": str(cert)}
-        g = lam0.graph
-        return {
-            "graph_name": self.graph_name,
-            "n_vertices": self.n_vertices,
-            "orders": dict(self.orders),
-            "clique_number": self.clique_number,
-            "square_free": self.square_free,
-            "hyperbolic": self.hyperbolic,
-            "essential": self.essential,
-            "core": {"lambda0": list(lam0.sorted), "lambda1": list(lam1.sorted)},
-            "n_induced_squares": self.n_induced_squares,
-            "minsquare_subgraphs": [
-                {"vertices": list(m.sorted),
-                 "orders": sorted(g.order(v) for v in m.sorted)}
-                for m in self.minsquare_subgraphs],
-            "is_minsquare_graph": self.is_minsquare_graph,
-            "cfs": self.cfs,
-            "electrification_hyperbolic": {
-                "hyperbolic": self.electrification.hyperbolic,
-                "uncovered_squares": [list(q.sorted)
-                                      for q in self.electrification.uncovered]},
-            "morse_all_hyperbolic": {
-                "all_hyperbolic": self.morse.all_hyperbolic,
-                "certificate": cert_d},
-            "jinf_members": [list(m.sorted) for m in self.jinf_members],
-            "jinf_iterations": self.jinf_iterations,
-            "rh_status": self.rh_status,
-            "tool_version": self.tool_version,
-        }
+            cert_json = _NO_JOIN_JSON % _str(str(cert))
+        pieces = []
+        for m in self.minsquare_subgraphs:
+            ix = list(_bits(m.mask))
+            pieces.append(_PIECE_JSON % (
+                _array([str(k) for k in sorted(orders[i] for i in ix)], _I3),
+                _array([names[i] for i in ix], _I3)))
+        order_items = [f"{e}: {k}" for _, e, k in
+                       sorted(zip(g.vertices, names, orders))]
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _REPORT_JSON % (
+            _bool(self.cfs),
+            self.clique_number,
+            _vertex_list(names, lam0.mask, _I2),
+            _vertex_list(names, lam1.mask, _I2),
+            _bool(self.electrification.hyperbolic),
+            _array([_vertex_list(names, q.mask, _I3)
+                    for q in self.electrification.uncovered], _I2),
+            _bool(self.essential),
+            _str(self.graph_name),
+            _bool(self.hyperbolic),
+            _bool(self.is_minsquare_graph),
+            self.jinf_iterations,
+            _array([_vertex_list(names, m.mask, _I2)
+                    for m in self.jinf_members], _I1),
+            _array(pieces, _I1),
+            _bool(self.morse.all_hyperbolic),
+            cert_json,
+            self.n_induced_squares,
+            self.n_vertices,
+            _array(order_items, _I1, "{", "}"),
+            _str(self.rh_status),
+            _bool(self.square_free),
+            _str(self.tool_version))
+
+    def to_dict(self):
+        return loads(self.to_json())
 
 
 def analyze(g):
     per = jinf(g)
     n_squares = _core(g).n_squares
+    core = core_decomposition(g.full_set())
     return AnalysisReport(
         graph_name=g.name,
         n_vertices=g.n,
@@ -123,14 +220,15 @@ def analyze(g):
         clique_number=clique_number(g),
         square_free=n_squares == 0,
         hyperbolic=is_hyperbolic(g),
-        essential=is_essential(g),
-        core=core_decomposition(g.full_set()),
+        # is_essential's test: no vertex is adjacent to all the others
+        essential=not core[1].mask,
+        core=core,
         n_induced_squares=n_squares,
         minsquare_subgraphs=minsquare_subgraphs(g),
         is_minsquare_graph=is_minsquare_graph(g),
         cfs=cfs_check(g),
         electrification=electrification_hyperbolic(g),
-        morse=morse_all_hyperbolic(g),
+        morse=_morse_dichotomy(g, core),
         jinf_members=per.members,
         jinf_iterations=per.iterations,
         rh_status=per.status,
@@ -140,8 +238,9 @@ def analyze(g):
 
 def render_report(report):
     d = report.to_dict()
+    # the orders in declaration order: the parsed JSON has them sorted
     lines = [f"graph {d['graph_name']}: {d['n_vertices']} vertices, "
-             f"orders {d['orders']}"]
+             f"orders {report.orders}"]
     lam = d["core"]
     ms = d["minsquare_subgraphs"]
     ec = d["electrification_hyperbolic"]
@@ -186,18 +285,18 @@ class ComparisonVerdict:
     verdict: str                      # "distinguished" | "inconclusive"
     notes: tuple
 
-    def to_dict(self):
-        return {
-            "pair": list(self.pair),
-            "distinguishing_invariants": [
-                {"invariant": n, "a": a, "b": b}
-                for n, a, b in self.distinguishing_invariants],
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """Written as `AnalysisReport.to_json` writes, sorted keys first."""
+        diffs = [_DIFF_JSON % (_str(a), _str(b), _str(name))
+                 for name, a, b in self.distinguishing_invariants]
+        return _VERDICT_JSON % (
+            _array(diffs, _I1),
+            _array([_str(t) for t in self.notes], _I1),
+            _array([_str(t) for t in self.pair], _I1),
+            _str(self.verdict))
+
+    def to_dict(self):
+        return loads(self.to_json())
 
 
 def _has_join_form(g):

@@ -335,9 +335,15 @@ def morse_all_hyperbolic(g):
     remainder is a minsquare subgraph.  No minsquare subgraph contains a
     universal vertex, so this is equivalent to the existential form.
     """
+    return _morse_dichotomy(g, core_decomposition(g.full_set()))
+
+
+def _morse_dichotomy(g, split):
+    """`morse_all_hyperbolic` given the core decomposition (lambda0, lambda1)
+    of the whole vertex set, so a caller that already has it splits once."""
     if is_hyperbolic(g):
         return MorseDichotomy(True, "square-free")
-    lam0, lam1 = core_decomposition(g.full_set())
+    lam0, lam1 = split
     if lam0.mask in _closures(g).minimal:
         return MorseDichotomy(True, (lam0, lam1))
     return MorseDichotomy(

@@ -9,8 +9,10 @@ one coset representative per edge or per syllable of a geodesic, flat grids
 by one product per pair of vertices, ball growth by an exact rational
 generating function over the clique complex, balls by multiplying every
 vertex by every generator, canonical normal forms by a greedy re-sort of the
-whole word, and canonical graph keys by an individualization-refinement
-search with no pruning.
+whole word, canonical graph keys by an individualization-refinement
+search with no pruning, the `analyze` and `compare` JSON by a dict for
+`json.dumps`, and finite-index subgroups by the Reidemeister-Schreier
+presentation of a retraction's kernel.
 """
 
 from fractions import Fraction
@@ -34,11 +36,13 @@ from graphprod.relhyp import _step
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import (
     NormalForm,
+    Word,
     _coset_rep,
     _split_head,
     identity,
     invert,
     multiply,
+    reduce_word,
 )
 
 
@@ -555,6 +559,68 @@ def brute_canonical(g, sylls):
 
 
 # ---------------------------------------------------------------------------
+# report serialization as it was: a dict for json.dumps(indent=2, sort_keys=True)
+
+
+def report_dict(rep):
+    """The `analyze` JSON schema as a dict, built field by field from an
+    AnalysisReport (the body `AnalysisReport.to_dict` had before the report
+    wrote its JSON by hand)."""
+    lam0, lam1 = rep.core
+    cert = rep.morse.certificate
+    if isinstance(cert, str) and cert == "square-free":
+        cert_d = {"kind": "square-free"}
+    elif isinstance(cert, tuple):
+        cert_d = {"kind": "join",
+                  "minsquare_part": list(cert[0].sorted),
+                  "complete_part": list(cert[1].sorted)}
+    else:
+        cert_d = {"kind": "none", "explanation": str(cert)}
+    g = lam0.graph
+    return {
+        "graph_name": rep.graph_name,
+        "n_vertices": rep.n_vertices,
+        "orders": dict(rep.orders),
+        "clique_number": rep.clique_number,
+        "square_free": rep.square_free,
+        "hyperbolic": rep.hyperbolic,
+        "essential": rep.essential,
+        "core": {"lambda0": list(lam0.sorted), "lambda1": list(lam1.sorted)},
+        "n_induced_squares": rep.n_induced_squares,
+        "minsquare_subgraphs": [
+            {"vertices": list(m.sorted),
+             "orders": sorted(g.order(v) for v in m.sorted)}
+            for m in rep.minsquare_subgraphs],
+        "is_minsquare_graph": rep.is_minsquare_graph,
+        "cfs": rep.cfs,
+        "electrification_hyperbolic": {
+            "hyperbolic": rep.electrification.hyperbolic,
+            "uncovered_squares": [list(q.sorted)
+                                  for q in rep.electrification.uncovered]},
+        "morse_all_hyperbolic": {
+            "all_hyperbolic": rep.morse.all_hyperbolic,
+            "certificate": cert_d},
+        "jinf_members": [list(m.sorted) for m in rep.jinf_members],
+        "jinf_iterations": rep.jinf_iterations,
+        "rh_status": rep.rh_status,
+        "tool_version": rep.tool_version,
+    }
+
+
+def verdict_dict(verdict):
+    """The `compare` JSON schema as a dict (the body
+    `ComparisonVerdict.to_dict` had before)."""
+    return {
+        "pair": list(verdict.pair),
+        "distinguishing_invariants": [
+            {"invariant": n, "a": a, "b": b}
+            for n, a, b in verdict.distinguishing_invariants],
+        "verdict": verdict.verdict,
+        "notes": list(verdict.notes),
+    }
+
+
+# ---------------------------------------------------------------------------
 # random graphs
 
 
@@ -565,6 +631,76 @@ def make_random_graph(rng, max_n, max_order=3, name="R", p=None):
     edges = [(u, v) for u, v in combinations(verts, 2) if rng.random() < prob]
     orders = {v: rng.randint(2, max_order) for v in verts if rng.random() < 0.3}
     return SimplicialGraph(name, verts, edges, orders)
+
+
+# ---------------------------------------------------------------------------
+# finite-index subgroups that are graph products again
+
+
+def retraction_kernel(g, v):
+    """The graph whose graph product is the kernel K of the retraction
+    r: C(g) -> G_v that kills every vertex group but G_v; K has index
+    n = |G_v|, so C(g) and C(kernel) are quasi-isometric.
+
+    The kernel graph has lk(v) once, n copies u_0 .. u_{n-1} of each vertex
+    u of g - st(v), and keeps every order.  u_k and w_k are adjacent when u
+    and w are, a link vertex is adjacent to u_k when it is to u, and copies
+    with different k are never adjacent.  A free product A * B at v = A
+    gives |A| copies of B (Kurosh); a cone vertex v gives g - v.
+
+    Proof (Reidemeister-Schreier).  C(g) is presented by the generators x
+    of the vertices, the relators x^{o(x)}, and [x, y] for every edge.  Take
+    the Schreier transversal T = {1, v, ..., v^{n-1}} of K; r(v^k x) = v^k
+    for x != v.  The Schreier generators t x (rep of t x)^{-1} are trivial
+    for x = v, and are u_k := v^k u v^{-k} for x = u != v.  Rewriting t R
+    t^{-1} for each t = v^k and relator R gives:
+      * v^n: the trivial relator;
+      * u^{o(u)}: u_k^{o(u)};
+      * [u, w] for an edge uw missing v: [u_k, w_k];
+      * [u, v] for u in lk(v): v^k u v u^{-1} v^{-(k+1)} = u_k u_{k+1}^{-1},
+        so u_0 = u_1 = ... = u_{n-1} = u, one generator per link vertex.
+    What is left is the presentation of the graph product of the graph
+    above: the copies of a link vertex merge, and [u_k, w_k] joins the
+    k-th copies, each to the link as in g.
+    """
+    n = g.order(v)
+    link = g.neighbors(v)
+    inside = [u for u in g.vertices if u in link]
+    outside = [u for u in g.vertices if u != v and u not in link]
+
+    def copies(u):
+        return [u] if u in link else [f"{u}_{k}" for k in range(n)]
+
+    edges = []
+    for a, b in g.edges:
+        if v in (a, b):
+            continue
+        if a in link and b in link:
+            edges.append((a, b))
+        elif a in link or b in link:
+            edges += [(x, y) for x in copies(a) for y in copies(b)]
+        else:
+            edges += zip(copies(a), copies(b))
+    verts = inside + [c for k in range(n) for c in (f"{u}_{k}" for u in outside)]
+    orders = {c: g.order(u) for u in inside + outside for c in copies(u)}
+    return SimplicialGraph(f"{g.name}_ker_{v}", verts, edges, orders)
+
+
+def retraction_kernel_images(g, v):
+    """Kernel vertex name -> its element of C(g): a link vertex is itself,
+    copy k of u is v^k u v^{-k} (the map of `retraction_kernel`'s proof)."""
+    n = g.order(v)
+    link = g.neighbors(v)
+    out = {}
+    for u in g.vertices:
+        if u == v:
+            continue
+        if u in link:
+            out[u] = reduce_word(Word(g, [(u, 1)]))
+            continue
+        for k in range(n):
+            out[f"{u}_{k}"] = reduce_word(Word(g, [(v, k), (u, 1), (v, -k % n)]))
+    return out
 
 
 # ---------------------------------------------------------------------------

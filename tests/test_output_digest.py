@@ -2,8 +2,10 @@
 
 Refactors must keep every output byte-identical; this test pins them all at
 once: `analyze` JSON, `compare` JSON and text for every ordered corpus pair,
-closure traces and square diagonals.  A change that alters output on purpose
-re-records EXPECTED and says why in CHANGES.md; the new value is printed by
+closure traces and square diagonals; a second digest pins the `analyze`
+text of `render_report` over the same graphs.  A change that alters output
+on purpose re-records EXPECTED (or RENDER_EXPECTED) and says why in
+CHANGES.md; the new values are printed by
 `DIGEST_PRINT=1 pytest -s tests/test_output_digest.py`.
 """
 
@@ -14,10 +16,11 @@ from itertools import combinations
 
 from graphprod.corpus import CORPUS_NAMES, load
 from graphprod.graphs import SimplicialGraph, induced_squares, square_diagonals
-from graphprod.report import analyze, compare, render_comparison
+from graphprod.report import analyze, compare, render_comparison, render_report
 from graphprod.squares import square_complete_closure
 
 EXPECTED = "8fe38a3aedf2bba20eaa2f869e3410ae42c48150e3fdc5620d69b08d382f3840"
+RENDER_EXPECTED = "d2c3da6e1fba23e7254324315935afe0afe0f8a6d9769abd1a3514371609f98d"
 
 def _gnp(rng, name, n, p, max_order=3):
     verts = [f"v{i}" for i in range(n)]
@@ -91,3 +94,20 @@ def test_output_digest():
     assert got == EXPECTED, (
         "library output changed; if on purpose, re-record EXPECTED and say "
         "why in CHANGES.md")
+
+
+def render_digest():
+    h = hashlib.sha256()
+    for g in digest_graphs():
+        h.update(render_report(analyze(g)).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_render_report_digest():
+    got = render_digest()
+    if os.environ.get("DIGEST_PRINT"):
+        print(got)
+    assert got == RENDER_EXPECTED, (
+        "render_report output changed; if on purpose, re-record "
+        "RENDER_EXPECTED and say why in CHANGES.md")
