@@ -106,7 +106,7 @@ def _word(g, text):
         raise SystemExit(1) from None
 
 
-def _pair(g, text):
+def _pair(text):
     parts = text.split(",")
     if len(parts) != 2:
         print(f"gpr: expected a pair u,v (got {text!r})", file=sys.stderr)
@@ -116,7 +116,8 @@ def _pair(g, text):
 
 def _checked(call, *args, **kwargs):
     """Run a library call whose ValueError means a bad argument: a negative
-    radius or size, a point outside the ball, diagonals spanning no square."""
+    radius or size, a point outside the ball, diagonals spanning no square,
+    a flat grid over the vertex cap."""
     try:
         return call(*args, **kwargs)
     except ValueError as exc:
@@ -189,8 +190,8 @@ def _dispatch(args):
         return 0
     if cmd == "flat":
         g = _load(args.file)
-        grid = _checked(flat_witness, g, _pair(g, args.diag1),
-                        _pair(g, args.diag2), args.size)
+        grid = _checked(flat_witness, g, _pair(args.diag1),
+                        _pair(args.diag2), args.size)
         for row in grid.all_vertices():
             print(" | ".join(format_word(nf) for nf in row))
         print(f"isometric: {grid.is_isometric()}")

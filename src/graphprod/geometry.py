@@ -204,38 +204,22 @@ class CayleyBall:
     def edge_hyperplanes(self):
         """Map each plain edge (i, j) to its HyperplaneId (cached).  A
         u-labelled edge at x is dual to the hyperplane carried by the coset
-        x<star(u)>, named by that coset's head; edges of one label and head
-        share one id.
-
-        One pass over the edges in recording order runs the `_coset_heads`
-        pass of every star at once: heads[w] is the head table of
-        x<star(w)>, and an edge (i, j), i < j, labelled u lies in star(w)
-        exactly for the w in star(u), so it sets heads[w][j] = heads[w][i]
-        for those.  The edge's id is read from heads[u][i], which is final
-        by then: only edges with upper end i change it, the sweep records
-        each edge while its lower end is swept, and so all of them come
-        before the first edge with lower end i."""
+        x<star(u)>, named by that coset's head: one `_coset_heads` pass over
+        the masks of all stars (the proof is there), and the edge's id read
+        from the table of its label.  Edges of one label and head share one
+        id."""
         if self._edge_hyp is None:
-            g = self.graph
             verts = self.verts
-            heads = [list(range(len(verts))) for _ in range(g.n)]
-            stars = _star_masks(g)
-            # label u -> (heads[u], the tables heads[w] for w in star(u))
-            tables = {
-                u: (heads[v], [heads[w] for w in range(g.n) if stars[u] >> w & 1])
-                for v, u in enumerate(g.vertices)}
+            stars = _star_masks(self.graph)
+            heads = dict(zip(stars, _coset_heads(self, stars.values())))
             ids = {}
             hyp = {}
             for e, lab in self._edge_label.items():
-                i, j = e
-                own, star = tables[lab]
-                key = (lab, own[i])
+                key = (lab, heads[lab][e[0]])
                 h = ids.get(key)
                 if h is None:
                     h = ids[key] = HyperplaneId(lab, verts[key[1]])
                 hyp[e] = h
-                for head in star:
-                    head[j] = head[i]
             self._edge_hyp = hyp
         return self._edge_hyp
 
@@ -277,7 +261,7 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     of the sweep over all products.
 
     The cone groups are the minsquare cosets found by `_coset_heads`, one
-    edge pass per piece, grouped by (piece, head) in index order."""
+    edge pass for all pieces, grouped by (piece, head) in index order."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
@@ -353,11 +337,11 @@ def _electrify(ball):
     minsquare cosets found from the edges (see `_coset_heads`)."""
     graph = ball.graph
     verts = ball.verts
-    edges = _labelled_edges(ball)
+    masks = [lam.mask for lam in minsquare_subgraphs(graph)]
     cone_groups = []
-    for lam in minsquare_subgraphs(graph):
+    for head in _coset_heads(ball, masks):
         groups = {}
-        for i, h in enumerate(_coset_heads(edges, len(verts), lam.mask)):
+        for i, h in enumerate(head):
             groups.setdefault(h, []).append(i)
         cone_groups.extend(tuple(g) for g in groups.values() if len(g) >= 2)
     gov = [[] for _ in verts]
@@ -369,35 +353,32 @@ def _electrify(ball):
                       tuple(tuple(g) for g in gov))
 
 
-def _labelled_edges(ball):
-    """The ball's edges in the order the sweep recorded them, as
-    (i, j, bit of the label vertex) with i < j."""
-    bit = {name: 1 << v for v, name in enumerate(ball.graph.vertices)}
-    return [(i, j, bit[lab]) for (i, j), lab in ball._edge_label.items()]
+def _coset_heads(ball, masks):
+    """For each vertex mask, one table giving for each ball vertex x the
+    index of its coset's head: the shortest member of x<mask>, for the
+    parabolic subgroup the mask gives.  `_electrify` asks for the masks of
+    all minsquare pieces, `CayleyBall.edge_hyperplanes` for all stars.
 
-
-def _coset_heads(edges, size, mask):
-    """For each of the `size` ball vertices x, the index of its coset's
-    head: the shortest member of x<mask>, for the parabolic subgroup given
-    by a vertex mask (`_electrify` runs it once per minsquare piece;
-    `CayleyBall.edge_hyperplanes` runs the same pass for every star at once).
-
-    One pass over `edges` (`_labelled_edges`) in recording order: an edge
-    (i, j), i < j, whose label lies in the mask sets head[j] = head[i].
-    This is exact.  Let p be the shortest member of a coset x<mask> (its
-    minimal representative, unique).  Any other member x = p w of the ball,
-    with w in <mask> reduced, has a last letter in the mask, and dropping
-    it gives a shorter member joined to x by an edge labelled in the mask;
-    p itself has no such edge down, and no other member on its level.  The
-    sweep records an edge while a vertex of its lower level is swept, so
-    after every edge down into that level: head chains each member to p,
-    and an edge inside a level joins two members whose head is already p.
-    No normal form is built."""
-    head = list(range(size))
-    for i, j, b in edges:
-        if b & mask:
+    One pass over the ball's edges in recording order fills every table:
+    an edge (i, j), i < j, labelled u sets head[j] = head[i] in each table
+    whose mask holds u.  This is exact.  Let p be the shortest member of a
+    coset x<mask> (its minimal representative, unique).  Any other member
+    x = p w of the ball, with w in <mask> reduced, has a last letter in the
+    mask, and dropping it gives a shorter member joined to x by an edge
+    labelled in the mask; p itself has no such edge down, and no other
+    member on its level.  The sweep records an edge while a vertex of its
+    lower level is swept, so after every edge down into that level: head
+    chains each member to p, and an edge inside a level joins two members
+    whose head is already p.  No normal form is built."""
+    size = len(ball.verts)
+    heads = [list(range(size)) for _ in masks]
+    # label -> the tables whose mask holds it
+    tables = {name: [h for h, m in zip(heads, masks) if m >> v & 1]
+              for v, name in enumerate(ball.graph.vertices)}
+    for (i, j), lab in ball._edge_label.items():
+        for head in tables[lab]:
             head[j] = head[i]
-    return head
+    return heads
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +543,8 @@ def flat_witness(graph, diag1, diag2, size, origin=None):
 
     The two pairs must each be non-adjacent with every cross pair adjacent,
     i.e. the four vertices form an induced square with diag1 and diag2 as its
-    opposite pairs."""
+    opposite pairs.  A grid of more than DEFAULT_VERTEX_CAP vertices is
+    refused (ValueError) before any prefix is built."""
     u, v = diag1
     a, b = diag2
     if len({u, v, a, b}) != 4:
@@ -576,6 +558,10 @@ def flat_witness(graph, diag1, diag2, size, origin=None):
                     f"{p} and {q} must be adjacent: diagonals do not span an induced square")
     if size < 0:
         raise ValueError("size must be >= 0")
+    cells = (size + 1) ** 2
+    if cells > DEFAULT_VERTEX_CAP:
+        raise ValueError(f"size {size} gives a grid of {cells} vertices, "
+                         f"more than {DEFAULT_VERTEX_CAP}")
     return FlatGrid(
         origin=origin if origin is not None else identity(graph),
         horizontal=tuple(_alternating_prefixes(graph, u, v, size)),

@@ -237,7 +237,8 @@ def _electrification_verdict(g):
 
 def is_square_complete(s):
     """True iff every square of the ambient graph having an opposite pair in s
-    lies inside s: iff F(P) lies in s for every pair P inside s.
+    lies inside s: iff F(P) lies in s for every pair P inside s (fact 4 of
+    the module docstring), that is, iff closing s adds nothing.
 
     >>> from .graphs import parse_graph
     >>> diag = parse_graph("graph DIAG\\nvertex a\\nvertex b\\nvertex c\\nvertex d\\n"
@@ -247,14 +248,7 @@ def is_square_complete(s):
     >>> is_square_complete(diag.full_set())
     True
     """
-    mask = s.mask
-    core = _core(s.graph)
-    for x in _bits(mask):
-        row = core.pairs[x]
-        for z in _bits(core.partners[x] & mask & (-2 << x)):
-            if row[z] & ~mask:
-                return False
-    return True
+    return _close(_core(s.graph), s.mask) == s.mask
 
 
 def square_complete_closure(seed):

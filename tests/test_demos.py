@@ -1,9 +1,4 @@
-"""The narrative demos run to completion in-process.
-
-Demo 05 is left out: its exhaustive search for the smallest graph with a
-non-hyperbolic electrification takes about 10 s, longer than the rest of a
-test module should.
-"""
+"""The narrative demos run to completion in-process."""
 
 import runpy
 from pathlib import Path
@@ -18,6 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "02_minsquare_structure.py",
     "03_relative_hyperbolicity.py",
     "04_hyperplanes_and_balls.py",
+    "05_electrification.py",
     "06_qi_comparison.py",
 ])
 def test_demo_runs(name, capsys):

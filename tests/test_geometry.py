@@ -491,6 +491,32 @@ def test_edge_hyperplanes_build_no_coset_rep(monkeypatch, corpus_graphs):
         assert all(h.coset in ball for h in hyp.values())
 
 
+def _count_coset_heads(monkeypatch):
+    """Count calls to geometry._coset_heads from here on."""
+    calls = []
+    coset_heads = geometry._coset_heads
+
+    def counting_coset_heads(ball, masks):
+        calls.append(len(masks))
+        return coset_heads(ball, masks)
+
+    monkeypatch.setattr(geometry, "_coset_heads", counting_coset_heads)
+    return calls
+
+
+def test_one_coset_head_pass_per_structure(monkeypatch):
+    # one pass serves all minsquare pieces, and one all stars
+    calls = _count_coset_heads(monkeypatch)
+    for g in _graphs_with_pieces(random.Random(9909), 6):
+        build_ball.cache_clear()
+        build_ball(g, 2, electrified=True)
+        assert calls == [len(minsquare_subgraphs(g))]
+        calls.clear()
+        build_ball(g, 2).edge_hyperplanes()
+        assert calls == [g.n]
+        calls.clear()
+
+
 def test_hyperplane_matches_edge_classes(balls3):
     # algebraic ids against union-find over triangles and opposite square sides
     rng = random.Random(8808)
@@ -561,6 +587,20 @@ def test_flat_grid_preconditions(corpus_graphs):
     c5 = corpus_graphs["C5"]
     with pytest.raises(ValueError):
         flat_witness(c5, ("a", "c"), ("b", "d"), 2)  # no square in C5
+
+
+def test_flat_grid_over_the_cap_builds_no_prefix(monkeypatch, corpus_graphs):
+    built = []
+    monkeypatch.setattr(geometry, "_alternating_prefixes",
+                        lambda g, u, v, count: built.append(count) or [])
+    sq4 = corpus_graphs["SQ4"]
+    # 447^2 = 199,809 vertices is within the cap, 448^2 is not
+    flat_witness(sq4, ("a", "c"), ("b", "d"), 446)
+    assert built == [446, 446]
+    for size in (447, 99999999999):
+        with pytest.raises(ValueError, match="more than 200000"):
+            flat_witness(sq4, ("a", "c"), ("b", "d"), size)
+    assert built == [446, 446]
 
 
 def test_flat_grid_diag_witness(corpus_graphs):

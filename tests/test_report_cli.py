@@ -496,6 +496,12 @@ def test_cli_flat(corpus_files, capsys):
     assert "isometric: True" in out
 
 
+def test_cli_flat_over_the_cap_exit_1(corpus_files, capsys):
+    assert main(["flat", corpus_files["SQ4"], "--diag1", "a,c",
+                 "--diag2", "b,d", "--size", "99999999999"]) == 1
+    assert "more than 200000" in _one_line_error(capsys)
+
+
 def test_cli_analyze_json(corpus_files, capsys):
     assert main(["analyze", corpus_files["EDGEW"], "--json"]) == 0
     d = json.loads(capsys.readouterr().out)
