@@ -1,11 +1,21 @@
 """Canonical forms for small vertex-labelled graphs.
 
 Pieces compared across two analyses (minsquare subgraphs, peripheral members)
-are matched up to isomorphism respecting the vertex-group orders.  For pieces
-of at most MAX_EXACT_VERTICES vertices an exact canonical key is computed;
-larger pieces fall back to a fingerprint (the sorted multiset of
-(order, degree) pairs), which separates graphs soundly but cannot certify
-sameness.
+are matched up to isomorphism respecting the vertex-group orders.  A piece is
+read through its local shape (`_piece`: orders and adjacency bitmasks in
+declaration order).  Every formula here is written once on the shape:
+
+- **fingerprint** (`_fingerprint`): the sorted multiset of (order, degree)
+  pairs, an isomorphism invariant that separates graphs soundly but cannot
+  certify sameness;
+- **label** (`_label`): vertex count, edge count and sorted orders, read off
+  the fingerprint, so it is an isomorphism invariant too;
+- **canonical key**: exact, for pieces of at most MAX_EXACT_VERTICES
+  vertices.
+
+`fingerprint(s)`, `piece_label(s)` and `canonical_key(s)` apply them to a
+vertex set.  `report.compare` builds each piece's shape once and searches
+only the shapes whose fingerprint another shape shares.
 
 The exact key is the minimum leaf of an individualization-refinement search
 tree (McKay & Piperno, *Practical graph isomorphism II*, J. Symbolic Comput.
@@ -151,26 +161,36 @@ def _canon(orders, adj):
     return search.best
 
 
-def canonical_key(s):
+def canonical_key(s, shape=None):
     """Exact isomorphism key of the induced subgraph with order labels, for
-    pieces of at most MAX_EXACT_VERTICES vertices (ValueError above that)."""
-    orders, adj = _piece(s)
+    pieces of at most MAX_EXACT_VERTICES vertices (ValueError above that).
+    `shape` is `_piece(s)` when the caller has already built it."""
+    orders, adj = _piece(s) if shape is None else shape
     if len(orders) > MAX_EXACT_VERTICES:
         raise ValueError(f"piece too large for exact canonical labeling "
                          f"({len(orders)} > {MAX_EXACT_VERTICES} vertices)")
     return _canon(orders, adj)
 
 
+def _fingerprint(shape):
+    """Sorted (order, degree) pairs of a local shape."""
+    orders, adj = shape
+    return tuple(sorted((orders[i], adj[i].bit_count()) for i in range(len(orders))))
+
+
+def _label(fp):
+    """The label of a piece read off its fingerprint: vertices, edges (half
+    the degree sum) and the orders, which the fingerprint lists sorted."""
+    m = sum(d for _, d in fp) // 2
+    os = ",".join(str(o) for o, _ in fp)
+    return f"{len(fp)}v{m}e[{os}]"
+
+
 def fingerprint(s):
     """Sound but incomplete invariant: sorted (order, degree) pairs."""
-    orders, adj = _piece(s)
-    return tuple(sorted((orders[i], adj[i].bit_count()) for i in range(len(orders))))
+    return _fingerprint(_piece(s))
 
 
 def piece_label(s):
     """Short human-readable tag for a piece, stable across runs."""
-    orders, adj = _piece(s)
-    n = len(orders)
-    m = sum(a.bit_count() for a in adj) // 2
-    os = ",".join(str(o) for o in sorted(orders))
-    return f"{n}v{m}e[{os}]"
+    return _label(_fingerprint(_piece(s)))

@@ -11,6 +11,12 @@ different types, and a verdict that rests only on `minsquare_types` or
 `jinf_types` proves nothing (the note `_FOOTNOTE` says so in every verdict).
 Matching on all counts is reported as "inconclusive", never as a positive
 quasi-isometry claim.
+
+The piece types are compared as multisets of isomorphism classes, taken over
+both graphs together (`_piece_types`): each distinct piece's local shape is
+built once per comparison, and the canonical-labelling search runs only for
+shapes whose degree/order fingerprint another shape shares; a fingerprint
+held by one shape is one class by itself.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from json.encoder import encode_basestring_ascii as _str
 from . import __version__
 from .isomorphism import (
     MAX_EXACT_VERTICES,
+    _fingerprint,
+    _label,
     _piece,
     canonical_key,
-    fingerprint,
-    piece_label,
 )
 from .relhyp import jinf
 from .squares import (
@@ -39,9 +45,8 @@ from .squares import (
     is_hyperbolic,
     is_minsquare_graph,
     minsquare_subgraphs,
-    morse_all_hyperbolic,
 )
-from .graphs import _bits, clique_number, core_decomposition
+from .graphs import _bits, _universal, clique_number, core_decomposition
 
 __all__ = ["AnalysisReport", "ComparisonVerdict", "analyze", "compare",
            "render_report", "render_comparison"]
@@ -300,7 +305,11 @@ class ComparisonVerdict:
 
 
 def _has_join_form(g):
-    return not is_hyperbolic(g) and morse_all_hyperbolic(g).all_hyperbolic
+    """`not is_hyperbolic(g) and morse_all_hyperbolic(g).all_hyperbolic`,
+    read off the masks: the non-universal vertices form a minsquare
+    subgraph (a square-free graph has none)."""
+    full = (1 << g.n) - 1
+    return (full & ~_universal(g, full)) in _closures(g).minimal
 
 
 def _has_sc_order2_square(g):
@@ -313,27 +322,50 @@ def _has_sc_order2_square(g):
                for u, c in zip(core.unions, core.closures))
 
 
-def _piece_multiset(pieces, shapes, exact):
-    """(Counter keyed by isomorphism class, display string).  Keys are exact
-    canonical keys when `exact` is set, degree/order fingerprints otherwise.
-    `shapes` maps a piece's local (orders, adjacency) to its canonical key;
-    the caller keeps one dict per comparison, so each distinct labelled
-    piece is keyed once."""
-    counter = Counter()
-    labels = {}
-    for p in pieces:
-        if exact:
-            shape = _piece(p)
-            k = shapes.get(shape)
-            if k is None:
-                k = shapes[shape] = canonical_key(p)
-        else:
-            k = fingerprint(p)
-        counter[k] += 1
-        if k not in labels:
-            labels[k] = piece_label(p)
-    shown = sorted(f"{counter[k]} x {labels[k]}" for k in counter)
-    return counter, ("; ".join(shown) or "(none)")
+def _piece_types(sides, built, keys, exact):
+    """The pieces of the sides sorted into isomorphism classes with order
+    labels: per side, (Counter over class keys, display string).
+
+    A piece's class key is (fingerprint, None) when no other shape on any
+    side has its fingerprint, and (fingerprint, canonical key) when one
+    does.  These keys are exact.  Equal shapes are isomorphic, and the
+    fingerprint is an isomorphism invariant, so a fingerprint held by one
+    shape over all sides is held by one isomorphism class; where shapes
+    share it, the canonical key splits them into their classes.  So two
+    pieces get equal keys iff they are isomorphic, and the Counters of two
+    sides are equal iff their multisets of isomorphism types are.  When
+    `exact` is unset (a piece above MAX_EXACT_VERTICES), every key is
+    (fingerprint, None): classes of equal fingerprints, sound but coarser.
+    A class is shown as "k x label"; the label is read off the fingerprint,
+    so it is the same for every piece of the class.
+
+    `built` maps (graph, mask) to (shape, fingerprint) and `keys` a shape to
+    its canonical key; the caller keeps both for one comparison, so each
+    piece's shape is built once and each shape searched at most once."""
+    rows = []
+    for side in sides:
+        row = []
+        for p in side:
+            got = built.get((p.graph, p.mask))
+            if got is None:
+                shape = _piece(p)
+                got = built[p.graph, p.mask] = shape, _fingerprint(shape)
+            row.append((p, *got))
+        rows.append(row)
+    shapes_per_fp = Counter({shape: fp for row in rows for _, shape, fp in row}.values())
+    out = []
+    for row in rows:
+        counter = Counter()
+        for p, shape, fp in row:
+            k = None
+            if exact and shapes_per_fp[fp] > 1:
+                k = keys.get(shape)
+                if k is None:
+                    k = keys[shape] = canonical_key(p, shape)
+            counter[fp, k] += 1
+        shown = sorted(f"{n} x {_label(fp)}" for (fp, _), n in counter.items())
+        out.append((counter, "; ".join(shown) or "(none)"))
+    return out
 
 
 def compare(ga, gb):
@@ -363,15 +395,14 @@ def compare(ga, gb):
     if ea != eb:
         diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
 
-    shapes = {}
+    built, keys = {}, {}
     for name, pieces_a, pieces_b in (
             ("minsquare_types", minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
             ("jinf_types", jinf(ga).members, jinf(gb).members)):
-        # a piece over the cap on either side: both sides by fingerprints,
-        # so the two multisets have keys of one kind
+        # a piece over the cap on either side: every piece of both sides is
+        # keyed by its fingerprint alone
         exact = all(len(p) <= MAX_EXACT_VERTICES for p in (*pieces_a, *pieces_b))
-        ca, da = _piece_multiset(pieces_a, shapes, exact)
-        cb, db = _piece_multiset(pieces_b, shapes, exact)
+        (ca, da), (cb, db) = _piece_types((pieces_a, pieces_b), built, keys, exact)
         if ca != cb:
             diffs.append((name, da, db))
         elif not exact:

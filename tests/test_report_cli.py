@@ -14,14 +14,23 @@ import pytest
 from graphprod.cli import main
 from graphprod.corpus import CORPUS_NAMES, corpus_text
 from graphprod.graphs import SimplicialGraph, induced_squares, parse_graph, square_diagonals
-from graphprod.isomorphism import canonical_key, fingerprint, piece_label
+from graphprod.isomorphism import MAX_EXACT_VERTICES, canonical_key, fingerprint, piece_label
 from graphprod.relhyp import jinf
-from graphprod.report import analyze, compare, render_comparison, render_report
+from graphprod.report import (
+    _FOOTNOTE,
+    ComparisonVerdict,
+    _has_join_form,
+    analyze,
+    compare,
+    render_comparison,
+    render_report,
+)
 from graphprod.squares import (
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
     is_minsquare_graph,
+    is_square_complete,
     minsquare_subgraphs,
     morse_all_hyperbolic,
 )
@@ -306,6 +315,8 @@ def test_compare_symmetric(corpus_graphs, random_graphs_9):
 
 
 def test_compare_keys_each_distinct_piece_once(monkeypatch):
+    # one shape per distinct piece, one search per shape whose fingerprint
+    # another shape of the same invariant shares, one label per class
     import graphprod.isomorphism
     from graphprod.isomorphism import _piece
 
@@ -313,9 +324,9 @@ def test_compare_keys_each_distinct_piece_once(monkeypatch):
     graphs = [make_random_graph(rng, 60, max_order=2, name=f"S{k}", p=0.08)
               for k in range(12)]
     counts = Counter()
-    _count_calls(monkeypatch, counts, graphprod.isomorphism, "canonical_key")
-    _count_calls(monkeypatch, counts, graphprod.isomorphism, "piece_label")
-    checked = 0
+    for name in ("canonical_key", "_piece", "_label"):
+        _count_calls(monkeypatch, counts, graphprod.isomorphism, name)
+    checked = skipped = 0
     for ga, gb in zip(graphs[::2], graphs[1::2]):
         sides = [minsquare_subgraphs(ga), minsquare_subgraphs(gb),
                  jinf(ga).members, jinf(gb).members]
@@ -323,13 +334,150 @@ def test_compare_keys_each_distinct_piece_once(monkeypatch):
             continue
         counts.clear()
         compare(ga, gb)
-        shapes = {_piece(p) for side in sides for p in side}
-        assert counts["canonical_key"] == len(shapes)
-        # one label per distinct key of each of the four multisets
-        assert counts["piece_label"] == sum(
+        got = Counter(counts)  # the expectations below call _piece too
+        searched, shapes = set(), set()
+        for pieces in (sides[0] + sides[1], sides[2] + sides[3]):
+            fps = {_piece(p): fingerprint(p) for p in pieces}
+            per_fp = Counter(fps.values())
+            searched |= {shape for shape, fp in fps.items() if per_fp[fp] > 1}
+            shapes |= set(fps)
+        assert got["canonical_key"] == len(searched)
+        masks = {(p.graph, p.mask) for side in sides for p in side}
+        assert got["_piece"] == len(masks)
+        # one label per distinct class of each of the four multisets
+        assert got["_label"] == sum(
             len({canonical_key(p) for p in side}) for side in sides)
-        checked += sum(map(len, sides)) > len(shapes)  # repeats were skipped
+        checked += sum(map(len, sides)) > len(masks)  # repeats were skipped
+        skipped += len(shapes) - len(searched)
     assert checked >= 5
+    assert skipped > 0
+
+
+def _reference_types(pieces, exact):
+    """A piece multiset keyed one piece at a time: the canonical key of every
+    piece, or the fingerprint of every piece when one side has a piece over
+    the cap; shown as "k x label" with the label of the class's first piece."""
+    counter, labels = Counter(), {}
+    for p in pieces:
+        k = canonical_key(p) if exact else fingerprint(p)
+        counter[k] += 1
+        labels.setdefault(k, piece_label(p))
+    shown = sorted(f"{n} x {labels[k]}" for k, n in counter.items())
+    return counter, "; ".join(shown) or "(none)"
+
+
+def _has_sc_order2_square_reference(g):
+    return any(is_square_complete(q) and all(g.order(v) == 2 for v in q)
+               for q in induced_squares(g))
+
+
+def _reference_compare(ga, gb):
+    """compare(ga, gb) rebuilt from the public invariants of each graph."""
+    diffs, notes = [], [_FOOTNOTE]
+    ha, hb = is_hyperbolic(ga), is_hyperbolic(gb)
+    if ha != hb:
+        diffs.append(("hyperbolic", str(ha), str(hb)))
+    msa, msb = is_minsquare_graph(ga), is_minsquare_graph(gb)
+    ja = not ha and morse_all_hyperbolic(ga).all_hyperbolic
+    jb = not hb and morse_all_hyperbolic(gb).all_hyperbolic
+    if (msa and not jb) or (msb and not ja):
+        diffs.append(("minsquare_join_form",
+                      f"minsquare graph: {msa}; join form: {ja}",
+                      f"minsquare graph: {msb}; join form: {jb}"))
+    sa, sb = _has_sc_order2_square_reference(ga), _has_sc_order2_square_reference(gb)
+    if sa != sb:
+        diffs.append(("square_complete_order2_square", str(sa), str(sb)))
+    ea = electrification_hyperbolic(ga).hyperbolic
+    eb = electrification_hyperbolic(gb).hyperbolic
+    if ea != eb:
+        diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
+    for name, pa, pb in (
+            ("minsquare_types", minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
+            ("jinf_types", jinf(ga).members, jinf(gb).members)):
+        exact = all(len(p) <= MAX_EXACT_VERTICES for p in (*pa, *pb))
+        (ca, da), (cb, db) = _reference_types(pa, exact), _reference_types(pb, exact)
+        if ca != cb:
+            diffs.append((name, da, db))
+        elif not exact:
+            notes.append(f"{name}: pieces above {MAX_EXACT_VERTICES} vertices "
+                         "compared by degree/order fingerprints only; matching "
+                         "fingerprints left this invariant inconclusive")
+    return ComparisonVerdict(
+        pair=(ga.name, gb.name), distinguishing_invariants=tuple(diffs),
+        verdict="distinguished" if diffs else "inconclusive", notes=tuple(notes))
+
+
+def _square(name, order3, declared="abcd"):
+    """The square a-b-c-d with the vertices `order3` of order 3, the
+    vertices declared in the order `declared`."""
+    return parse_graph("\n".join(
+        [f"graph {name}"]
+        + [f"vertex {v}" + (" order=3" if v in order3 else "") for v in declared]
+        + ["edge a b", "edge b c", "edge c d", "edge d a"]))
+
+
+def test_compare_matches_per_piece_reference(corpus_graphs):
+    # keying by fingerprint first and searching only shared fingerprints
+    # gives the JSON of keying every piece on its own
+    rng = random.Random(1515)
+    pairs = [(a, b) for a in corpus_graphs.values() for b in corpus_graphs.values()]
+    # every order-3 subset of a square, in two declaration orders: shapes
+    # with one fingerprint and different types (random pairs rarely have them)
+    squares = [_square(f"Q{k}{d}", [v for i, v in enumerate("abcd") if k >> i & 1], d)
+               for k in range(16) for d in ("abcd", "cadb")]
+    pairs += [(a, b) for a in squares for b in squares]
+    for k in range(150):
+        p = rng.choice([None, 0.15, 0.3])
+        ga = make_random_graph(rng, 14, max_order=rng.randint(2, 4), name=f"A{k}", p=p)
+        gb = make_random_graph(rng, 14, max_order=rng.randint(2, 4), name=f"B{k}", p=p)
+        pairs += [(ga, gb), (ga, ga)]
+    seen = Counter()
+    for ga, gb in pairs:
+        got = compare(ga, gb)
+        assert got.to_json() == _reference_compare(ga, gb).to_json(), (ga, gb)
+        seen["pieces"] += any(n.endswith("_types") for n, _, _ in got.distinguishing_invariants)
+        seen["note"] += len(got.notes) > 1
+        seen["distinguished"] += got.verdict == "distinguished"
+        seen["inconclusive"] += got.verdict == "inconclusive"
+    # both verdicts, piece invariants firing and the over-cap note all occur
+    assert min(seen.values()) >= 5, seen
+
+
+def test_compare_separates_pieces_with_equal_fingerprints(monkeypatch):
+    # the two order-3 vertices of a square adjacent or opposite: one
+    # fingerprint, two isomorphism types, so the search must run
+    import graphprod.isomorphism
+
+    adjacent, opposite = _square("ADJ", "ab"), _square("OPP", "ac")
+    relabelled = _square("ADJ2", "ab", declared="cadb")
+    assert fingerprint(adjacent.full_set()) == fingerprint(opposite.full_set())
+    counts = Counter()
+    _count_calls(monkeypatch, counts, graphprod.isomorphism, "canonical_key")
+    v = compare(adjacent, opposite)
+    assert ("minsquare_types", "1 x 4v4e[2,2,3,3]", "1 x 4v4e[2,2,3,3]") \
+        in v.distinguishing_invariants
+    assert counts["canonical_key"] == 2   # each shape once, for both invariants
+    counts.clear()
+    # isomorphic, but declared in another order: two shapes, one class
+    assert compare(adjacent, relabelled).verdict == "inconclusive"
+    assert counts["canonical_key"] == 2
+    counts.clear()
+    # one shape on both sides: no search
+    assert compare(adjacent, adjacent).verdict == "inconclusive"
+    assert counts["canonical_key"] == 0
+
+
+def test_has_join_form_matches_morse_dichotomy(corpus_graphs):
+    rng = random.Random(4242)
+    graphs = list(corpus_graphs.values())
+    graphs += [make_random_graph(rng, 10, name=f"J{k}", p=rng.uniform(0.3, 0.9))
+               for k in range(300)]
+    seen = Counter()
+    for g in graphs:
+        want = not is_hyperbolic(g) and morse_all_hyperbolic(g).all_hyperbolic
+        assert _has_join_form(g) == want, g
+        seen[want] += 1
+    assert seen[True] >= 10 and seen[False] >= 10, seen
 
 
 def _big(name, cross):
