@@ -17,7 +17,7 @@ from itertools import combinations
 from graphprod.graphs import SimplicialGraph
 from graphprod.report import analyze
 
-GRAPHS = [(100, 0.3), (100, 0.7), (150, 0.5), (400, 0.1)]
+GRAPHS = [(100, 0.3), (100, 0.7), (60, 0.9), (150, 0.5), (400, 0.1)]
 
 
 def gnp(n, p):

@@ -334,10 +334,15 @@ def _sweep(graph, radius, max_vertices):
 
 def _electrify(ball):
     """The electrified ball over a plain one: its structures shared, the
-    minsquare cosets found from the edges (see `_coset_heads`)."""
+    minsquare cosets found from the edges (see `_coset_heads`).  A
+    square-free graph has no cosets to find: its electrified ball also
+    shares the plain ball's empty group table."""
     graph = ball.graph
     verts = ball.verts
     masks = [lam.mask for lam in minsquare_subgraphs(graph)]
+    if not masks:
+        return CayleyBall(graph, ball.radius, verts, ball._index, ball.adj,
+                          ball._edge_label, True, (), ball._groups_of_vertex)
     cone_groups = []
     for head in _coset_heads(ball, masks):
         groups = {}

@@ -35,16 +35,29 @@ class PeripheralStructure:
 
 
 def _cp_mask(g, mask):
+    """mask padded by the union of N(a) & N(c) over the non-adjacent pairs
+    {a, c} inside it.
+
+    These are the outside vertices with a non-complete link in mask.  The
+    link of a vertex v outside mask is N(v) & mask.  It is not complete iff
+    it holds two non-adjacent vertices a and c, and a, c lie in N(v) iff v
+    lies in N(a) & N(c); so it is not complete iff v is adjacent to both
+    ends of some non-adjacent pair of mask.
+
+    Such a v has two or more neighbours in mask.  One sweep over the
+    members' neighbourhoods finds these candidates, and on sparse graphs
+    there are usually none, so nothing else is read.  Each candidate's link
+    is then searched for a non-adjacent pair, which costs at most the edges
+    from the candidates into mask; listing the pairs of mask instead costs
+    up to |mask|^2, as on a long ladder with a triangle on every rung."""
     adj = g._adj_bits
-    near = 0
+    once = twice = 0
     for u in _bits(mask):
-        near |= adj[u]
+        twice |= once & adj[u]
+        once |= adj[u]
     out = mask
-    # only a neighbour of the mask has a link in it at all
-    for v in _bits(near & ~mask):
-        link = adj[v] & mask
-        # links with fewer than two vertices are complete
-        if link & (link - 1) and not _complete_mask(g, link):
+    for v in _bits(twice & ~mask):
+        if not _complete_mask(g, adj[v] & mask):
             out |= 1 << v
     return out
 

@@ -307,9 +307,11 @@ class ComparisonVerdict:
 def _has_join_form(g):
     """`not is_hyperbolic(g) and morse_all_hyperbolic(g).all_hyperbolic`,
     read off the masks: the non-universal vertices form a minsquare
-    subgraph (a square-free graph has none)."""
+    subgraph.  A square-free graph has none, so its degrees are not
+    read."""
+    minimal = _closures(g).minimal
     full = (1 << g.n) - 1
-    return (full & ~_universal(g, full)) in _closures(g).minimal
+    return bool(minimal) and (full & ~_universal(g, full)) in minimal
 
 
 def _has_sc_order2_square(g):

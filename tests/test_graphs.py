@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from graphprod.graphs import (
+    _COLOUR_MIN,
+    _universal,
     GGParseError,
     SimplicialGraph,
     clique_number,
@@ -236,6 +238,34 @@ def test_clique_number_deep_search_needs_no_recursion():
     assert clique_number(g) == 1
 
 
+def test_clique_number_with_isolated_and_universal_vertices():
+    # up to 12 vertices, dense enough that candidate sets above
+    # _COLOUR_MIN are coloured, with isolated or universal vertices at
+    # random places in the vertex order
+    rng = random.Random(1212)
+    graphs = [SimplicialGraph("K12", [f"v{i}" for i in range(12)],
+                              combinations([f"v{i}" for i in range(12)], 2)),
+              SimplicialGraph("E12", [f"v{i}" for i in range(12)], [])]
+    for k in range(60):
+        n = rng.randint(1, 12) if k % 3 == 0 else 12
+        verts = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.2, 0.5, 0.8, 0.95))
+        edges = {e for e in combinations(verts, 2) if rng.random() < p}
+        special = rng.sample(verts, rng.randint(0, min(2, n)))
+        if k % 2:
+            edges = {e for e in edges if not set(e) & set(special)}
+        else:
+            edges |= {tuple(sorted((u, v), key=verts.index))
+                      for u in special for v in verts if u != v}
+        graphs.append(SimplicialGraph(f"IU{k}", verts, edges))
+    coloured = 0
+    for g in graphs:
+        assert clique_number(g) == brute_clique_number(g)
+        coloured += any((g._adj_bits[v] >> (v + 1)).bit_count() > _COLOUR_MIN
+                        for v in range(g.n))
+    assert coloured > 10
+
+
 # --- core decomposition ---------------------------------------------------------
 
 
@@ -263,6 +293,34 @@ def test_core_decomposition_properties(corpus_graphs, random_graphs_9):
         # fixed point: the core has no universal vertex left
         again0, again1 = core_decomposition(lam0)
         assert again0 == lam0 and len(again1) == 0
+
+
+def _universal_by_definition(g, mask):
+    members = [v for v in range(g.n) if mask >> v & 1]
+    return sum(1 << v for v in members
+               if all(g._adj_bits[v] >> u & 1 for u in members if u != v))
+
+
+def test_universal_matches_definition(corpus_graphs):
+    rng = random.Random(1313)
+    graphs = [corpus_graphs[name] for name in ("CONE", "K4", "SQ4", "C5", "K33")]
+    for k in range(20):
+        # the join of two random graphs: every vertex of one side adjacent
+        # to every vertex of the other
+        a, b = (make_random_graph(rng, 6, name=f"J{k}{side}") for side in "ab")
+        verts = [f"a{v}" for v in a.vertices] + [f"b{v}" for v in b.vertices]
+        edges = [(f"a{u}", f"a{v}") for u, v in a.edges]
+        edges += [(f"b{u}", f"b{v}") for u, v in b.edges]
+        edges += [(f"a{u}", f"b{v}") for u in a.vertices for v in b.vertices]
+        graphs += [SimplicialGraph(f"J{k}", verts, edges), a]
+    full_hits = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        masks = [full, 0] + [rng.randrange(1 << g.n) for _ in range(6)]
+        for mask in masks:
+            assert _universal(g, mask) == _universal_by_definition(g, mask)
+        full_hits += _universal(g, full) != 0
+    assert 10 < full_hits < len(graphs)
 
 
 def test_is_star_of_vertex(corpus_graphs):

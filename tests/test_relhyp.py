@@ -1,8 +1,9 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 from graphprod import relhyp
-from graphprod.graphs import SimplicialGraph, is_complete, link
+from graphprod.graphs import SimplicialGraph, induced_squares, is_complete, link
 from graphprod.relhyp import cp, jinf
 from graphprod.squares import is_hyperbolic, minsquare_subgraphs
 
@@ -41,7 +42,6 @@ def _assert_peripheral_contract(g, per):
     for s, t in combinations(members, 2):
         assert is_complete(s.intersection(t))
     # every induced square inside some member
-    from graphprod.graphs import induced_squares
     for q in induced_squares(g):
         assert any(q.members <= m.members for m in members)
     # outside vertices have complete link inside each member
@@ -102,39 +102,92 @@ def test_jinf_status_trivial_iff_full(corpus_graphs, random_graphs_9):
             assert all(m.members != set(g.vertices) for m in per.members)
 
 
-def test_cp_walks_only_neighbours_of_the_mask(monkeypatch):
-    # a vertex with no neighbour in the mask has an empty link, so padding
-    # never looks at it
-    walked = []
-    bits = relhyp._bits
+def _cp_by_links(g, mask):
+    """The padding by its definition: mask and every outside vertex whose
+    link in mask holds a non-adjacent pair."""
+    adj = g._adj_bits
+    out = mask
+    for v in range(g.n):
+        lk = [u for u in range(g.n) if mask >> u & 1 and adj[v] >> u & 1]
+        if not mask >> v & 1 and any(
+                not adj[a] >> b & 1 for a, b in combinations(lk, 2)):
+            out |= 1 << v
+    return out
 
-    def recording_bits(mask):
-        walked.append(mask)
-        return bits(mask)
 
-    monkeypatch.setattr(relhyp, "_bits", recording_bits)
+def _gnp(rng, name, n, p):
+    verts = [f"v{i}" for i in range(n)]
+    return SimplicialGraph(name, verts, [
+        e for e in combinations(verts, 2) if rng.random() < p])
+
+
+def test_cp_walks_only_neighbours_of_the_mask():
+    # padding reads the neighbourhoods of members, and of the outside
+    # vertices with two or more neighbours in the mask; the link of any
+    # other vertex is empty or one vertex, so complete, and it is never read
+    read = []
+
+    class Recording(tuple):
+        def __getitem__(self, i):
+            read.append(i)
+            return tuple.__getitem__(self, i)
+
     rng = random.Random(902)
-    far = 0
+    far = skipped = 0
     for k in range(20):
         n = rng.randint(12, 30)
-        verts = [f"v{i}" for i in range(n)]
-        g = SimplicialGraph(f"W{k}", verts, [
-            e for e in combinations(verts, 2) if rng.random() < 3 / n])
+        g = _gnp(rng, f"W{k}", n, 3 / n)
+        recorded = SimpleNamespace(_adj_bits=Recording(g._adj_bits))
         for _ in range(10):
             mask = sum(1 << v for v in rng.sample(range(n), rng.randint(1, 5)))
             near = mask
             for v in range(n):
                 if mask >> v & 1:
                     near |= g._adj_bits[v]
-            walked.clear()
-            out = relhyp._cp_mask(g, mask)
-            assert all(m & ~near == 0 for m in walked)
-            want = mask
-            for v in range(n):
-                lk = [u for u in range(n) if mask >> u & 1 and g._adj_bits[v] >> u & 1]
-                if not mask >> v & 1 and any(
-                        not g._adj_bits[a] >> b & 1 for a, b in combinations(lk, 2)):
-                    want |= 1 << v
-            assert out == want
+            read.clear()
+            out = relhyp._cp_mask(recorded, mask)
+            assert read and all(
+                mask >> v & 1 or (g._adj_bits[v] & mask).bit_count() >= 2
+                for v in read)
+            assert out == _cp_by_links(g, mask)
             far += near != (1 << n) - 1
-    assert far > 100
+            skipped += any((g._adj_bits[v] & mask).bit_count() == 1
+                           for v in range(n) if not mask >> v & 1)
+    assert far > 100 and skipped > 100
+
+
+def test_cp_matches_links():
+    # sparse graphs, n = 100..200 at mean degree 2..4: the members and
+    # square unions that jinf pads, random masks, and masks no outside
+    # vertex touches (a whole component, all vertices, no vertex); then
+    # random masks of dense G(n, p)
+    rng = random.Random(1616)
+    cases = []
+    for k in range(8):
+        n = rng.randint(100, 200)
+        g = _gnp(rng, f"P{k}", n, rng.uniform(2, 4) / n)
+        comp = 1
+        while True:
+            grown = comp
+            for v in range(n):
+                if comp >> v & 1:
+                    grown |= g._adj_bits[v]
+            if grown == comp:
+                break
+            comp = grown
+        masks = [m.mask for m in jinf(g).members]
+        masks += [q.mask for q in induced_squares(g)]
+        masks += [sum(1 << v for v in rng.sample(range(n), rng.randint(2, 40)))
+                  for _ in range(6)]
+        cases += [(g, m) for m in masks + [comp, (1 << n) - 1, 0]]
+    for k in range(12):
+        n = rng.randint(12, 30)
+        g = _gnp(rng, f"D{k}", n, rng.choice((0.3, 0.5, 0.7, 0.9)))
+        cases += [(g, sum(1 << v for v in rng.sample(range(n), rng.randint(0, n))))
+                  for _ in range(8)]
+    padded = 0
+    for g, mask in cases:
+        out = relhyp._cp_mask(g, mask)
+        assert out == _cp_by_links(g, mask)
+        padded += out != mask
+    assert padded > 100
