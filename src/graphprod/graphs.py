@@ -505,11 +505,6 @@ def square_diagonals(s):
     return tuple(tuple(g.vertices[i] for i in _bits(d)) for d in _diagonals(adj, m))
 
 
-# Candidate sets of more than this many vertices are ordered and bounded by
-# a greedy colouring, smaller ones by their size (see clique_number).
-_COLOUR_MIN = 8
-
-
 def clique_number(g):
     """Size of a maximum clique (0 for the empty graph).
 
@@ -526,16 +521,10 @@ def clique_number(g):
     beat the best clique found when P is expanded, and it is dropped when
     popped if it cannot beat the best found by then.
 
-    Above _COLOUR_MIN = 8 candidates the order is a greedy colouring, class
-    by class (a colour class is independent, so a clique meets each class
-    at most once, and ki is the colour of pi); at or below it ki = i, the
-    bound by size.  Colouring starts to pay between 16 and 24 candidates:
-    on G(100, 0.7), G(60, 0.9), G(150, 0.5) and the sparse benchmark
-    graphs every cut-off from 2 to 16 runs within noise of the others,
-    while with a cut-off of 24 G(60, 0.9) takes 0.10 s, with 32 1.5 s and
-    with no colouring at all 6 s, against 0.02 s.  The cut-off 8 lies well
-    inside the flat range (best of interleaved runs, Python 3.11, 2-vCPU
-    VM)."""
+    The order is a greedy colouring, class by class: a colour class is
+    independent, so a clique meets each class at most once, and ki is the
+    colour of pi.  Since ki <= i, this bound is never weaker than the size
+    of {p1, ..., pi}."""
     adj = g._adj_bits
     best = 0
     for v in range(g.n):
@@ -553,30 +542,18 @@ def clique_number(g):
                 continue
             need = best - size      # a branch must reach k > need
             prefix = 0
-            if cand.bit_count() > _COLOUR_MIN:
-                k = 0
-                uncoloured = cand
-                while uncoloured:
-                    k += 1
-                    free = uncoloured
-                    while free:
-                        low = free & -free
-                        u = low.bit_length() - 1
-                        free &= ~(adj[u] | low)
-                        uncoloured ^= low
-                        if k > need:
-                            stack.append((size + k, size + 1, prefix & adj[u]))
-                        prefix |= low
-            else:
-                k = 0
-                rest = cand
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    k += 1
+            k = 0
+            uncoloured = cand
+            while uncoloured:
+                k += 1
+                free = uncoloured
+                while free:
+                    low = free & -free
+                    u = low.bit_length() - 1
+                    free &= ~(adj[u] | low)
+                    uncoloured ^= low
                     if k > need:
-                        stack.append((size + k, size + 1,
-                                      prefix & adj[low.bit_length() - 1]))
+                        stack.append((size + k, size + 1, prefix & adj[u]))
                     prefix |= low
     return best
 
@@ -618,16 +595,12 @@ def _merge_overlapping(g, masks):
 
 
 def _universal(g, mask):
-    """Members of mask adjacent to every other member.  Over the whole
-    vertex set these are the vertices of degree n - 1, read from the
-    degrees in one pass."""
+    """Members of mask adjacent to every other member.  Such a member has
+    at least |mask| - 1 neighbours, so when no vertex does, one pass over
+    the degrees answers without testing the members."""
     adj = g._adj_bits
-    n = g.n
-    if mask == (1 << n) - 1:
-        degrees = list(map(int.bit_count, adj))
-        if n - 1 not in degrees:
-            return 0
-        return sum(1 << v for v, d in enumerate(degrees) if d == n - 1)
+    if max(map(int.bit_count, adj), default=-1) < mask.bit_count() - 1:
+        return 0
     out = 0
     for v in _bits(mask):
         if mask & ~adj[v] == 1 << v:
