@@ -524,7 +524,14 @@ def clique_number(g):
     The order is a greedy colouring, class by class: a colour class is
     independent, so a clique meets each class at most once, and ki is the
     colour of pi.  Since ki <= i, this bound is never weaker than the size
-    of {p1, ..., pi}."""
+    of {p1, ..., pi}, but it costs more to compute.  Measured against the
+    size bound ki = i below a cut-off, colouring pays from between 8 and
+    16 candidates: with a cut-off of 16 dense graphs run 8-15% slower than
+    with 8, with 24 G(60, 0.9) takes 0.17 s and with 32 1.7 s, against
+    0.03 s.  Below 8 the size bound would save up to a quarter of this
+    function on sparse graphs, whose candidate sets mostly have one to
+    three members, but that is at most 18 us a graph, 3% of `analyze`
+    (best of interleaved runs, Python 3.11, 2-vCPU VM)."""
     adj = g._adj_bits
     best = 0
     for v in range(g.n):
