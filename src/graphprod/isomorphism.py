@@ -68,6 +68,41 @@ def _piece(s):
     return tuple(g._orders_ix[gi] for gi in ix), tuple(adj)
 
 
+def _normal(shape):
+    """The shape relabelled in breadth-first order.  The vertices are ranked
+    by (order, degree, index); the search starts from the least unvisited
+    vertex of that rank and takes each vertex's unvisited neighbours in
+    rank order.  The result is a relabelling of the shape, so it is
+    isomorphic to it; isomorphic shapes often, but not always, get equal
+    normal shapes."""
+    orders, adj = shape
+    n = len(orders)
+    rank = sorted(range(n), key=lambda i: (orders[i], adj[i].bit_count(), i))
+    seq, seen = [], 0
+    for root in rank:
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(seq)
+        seq.append(root)
+        while head < len(seq):
+            fresh = adj[seq[head]] & ~seen
+            head += 1
+            if fresh:
+                seen |= fresh
+                seq += [u for u in rank if fresh >> u & 1]
+    new = [0] * n
+    for k, v in enumerate(seq):
+        new[v] = k
+    out = []
+    for v in seq:
+        bits = 0
+        for u in _bits(adj[v]):
+            bits |= 1 << new[u]
+        out.append(bits)
+    return tuple(orders[v] for v in seq), tuple(out)
+
+
 def _refine(nbrs, colors):
     """Coarsest equitable refinement of `colors`, as ranks of
     (colour, sorted neighbour colours).  Cells only ever split, so a round

@@ -31,6 +31,7 @@ from .isomorphism import (
     MAX_EXACT_VERTICES,
     _fingerprint,
     _label,
+    _normal,
     _piece,
     canonical_key,
 )
@@ -324,27 +325,33 @@ def _has_sc_order2_square(g):
                for u, c in zip(core.unions, core.closures))
 
 
-def _piece_types(sides, built, keys, exact):
+def _piece_types(sides, built, normals, keys, exact):
     """The pieces of the sides sorted into isomorphism classes with order
     labels: per side, (Counter over class keys, display string).
 
-    A piece's class key is (fingerprint, None) when no other shape on any
-    side has its fingerprint, and (fingerprint, canonical key) when one
-    does.  These keys are exact.  Equal shapes are isomorphic, and the
-    fingerprint is an isomorphism invariant, so a fingerprint held by one
-    shape over all sides is held by one isomorphism class; where shapes
-    share it, the canonical key splits them into their classes.  So two
-    pieces get equal keys iff they are isomorphic, and the Counters of two
-    sides are equal iff their multisets of isomorphism types are.  When
-    `exact` is unset (a piece above MAX_EXACT_VERTICES), every key is
+    A piece's class key is (fingerprint, None) when the shapes with its
+    fingerprint, over all sides, have one normal shape between them, and
+    (fingerprint, canonical key) when they have several.  These keys are
+    exact.  The fingerprint is an isomorphism invariant, and two shapes
+    with equal normal shapes are relabellings of one piece type, so a
+    fingerprint whose shapes have one normal shape is held by one
+    isomorphism class; where they have several, the canonical key splits
+    them into their classes, and it does not change under relabelling, so
+    searching the normal shape gives the key of the shape.  So two pieces
+    get equal keys iff they are isomorphic, and the Counters of two sides
+    are equal iff their multisets of isomorphism types are.  When `exact`
+    is unset (a piece above MAX_EXACT_VERTICES), every key is
     (fingerprint, None): classes of equal fingerprints, sound but coarser.
     A class is shown as "k x label"; the label is read off the fingerprint,
     so it is the same for every piece of the class.
 
-    `built` maps (graph, mask) to (shape, fingerprint) and `keys` a shape to
-    its canonical key; the caller keeps both for one comparison, so each
-    piece's shape is built once and each shape searched at most once."""
+    `built` maps (graph, mask) to (shape, fingerprint), `normals` a shape
+    to its normal shape and `keys` a normal shape to its canonical key; the
+    caller keeps all three for one comparison, so each piece's shape is
+    built once, each shape normalised at most once and each normal shape
+    searched at most once."""
     rows = []
+    groups = {}   # fingerprint -> {shape: a piece of that shape}
     for side in sides:
         row = []
         for p in side:
@@ -352,19 +359,28 @@ def _piece_types(sides, built, keys, exact):
             if got is None:
                 shape = _piece(p)
                 got = built[p.graph, p.mask] = shape, _fingerprint(shape)
-            row.append((p, *got))
+            row.append(got)
+            groups.setdefault(got[1], {}).setdefault(got[0], p)
         rows.append(row)
-    shapes_per_fp = Counter({shape: fp for row in rows for _, shape, fp in row}.values())
+    found = {}    # shape -> canonical key, for fingerprints held by several types
+    if exact:
+        for group in groups.values():
+            if len(group) == 1:
+                continue
+            for shape in group:
+                if shape not in normals:
+                    normals[shape] = _normal(shape)
+            if len({normals[shape] for shape in group}) == 1:
+                continue
+            for shape, p in group.items():
+                normal = normals[shape]
+                k = keys.get(normal)
+                if k is None:
+                    k = keys[normal] = canonical_key(p, normal)
+                found[shape] = k
     out = []
     for row in rows:
-        counter = Counter()
-        for p, shape, fp in row:
-            k = None
-            if exact and shapes_per_fp[fp] > 1:
-                k = keys.get(shape)
-                if k is None:
-                    k = keys[shape] = canonical_key(p, shape)
-            counter[fp, k] += 1
+        counter = Counter((fp, found.get(shape)) for shape, fp in row)
         shown = sorted(f"{n} x {_label(fp)}" for (fp, _), n in counter.items())
         out.append((counter, "; ".join(shown) or "(none)"))
     return out
@@ -397,14 +413,14 @@ def compare(ga, gb):
     if ea != eb:
         diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
 
-    built, keys = {}, {}
+    built, normals, keys = {}, {}, {}
     for name, pieces_a, pieces_b in (
             ("minsquare_types", minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
             ("jinf_types", jinf(ga).members, jinf(gb).members)):
         # a piece over the cap on either side: every piece of both sides is
         # keyed by its fingerprint alone
         exact = all(len(p) <= MAX_EXACT_VERTICES for p in (*pieces_a, *pieces_b))
-        (ca, da), (cb, db) = _piece_types((pieces_a, pieces_b), built, keys, exact)
+        (ca, da), (cb, db) = _piece_types((pieces_a, pieces_b), built, normals, keys, exact)
         if ca != cb:
             diffs.append((name, da, db))
         elif not exact:

@@ -166,3 +166,56 @@ def test_canonical_key_equal_iff_isomorphic_property(data):
         h = SimplicialGraph("P", order, sorted(edges), orders)
     same = canonical_key(g.full_set()) == canonical_key(h.full_set())
     assert same == _isomorphic(g, h)
+
+
+# --- the normal shape -----------------------------------------------------------
+
+
+def _random_shape(rng, n):
+    """(orders, adjacency bitmasks) of a seeded random graph on n vertices."""
+    p = rng.uniform(0.1, 0.9)
+    adj = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rng.random() < p:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return tuple(rng.randint(2, 4) for _ in range(n)), tuple(adj)
+
+
+def _relabelled_shape(shape, image):
+    """The shape with vertex i renamed image[i]."""
+    orders, adj = shape
+    new_orders, new_adj = [0] * len(orders), [0] * len(orders)
+    for i, bits in enumerate(adj):
+        new_orders[image[i]] = orders[i]
+        new_adj[image[i]] = sum(1 << image[j] for j in range(len(adj)) if bits >> j & 1)
+    return tuple(new_orders), tuple(new_adj)
+
+
+def test_normal_keeps_the_invariants():
+    rng = random.Random(1717)
+    for _ in range(300):
+        shape = _random_shape(rng, rng.randint(1, MAX_EXACT_VERTICES))
+        normal = isomorphism._normal(shape)
+        assert sorted(normal[0]) == sorted(shape[0])
+        assert isomorphism._fingerprint(normal) == isomorphism._fingerprint(shape)
+        assert isomorphism._canon(*normal) == isomorphism._canon(*shape)
+
+
+def test_normal_is_a_relabelling():
+    rng = random.Random(1718)
+    for _ in range(200):
+        shape = _random_shape(rng, rng.randint(1, 7))
+        normal = isomorphism._normal(shape)
+        assert any(_relabelled_shape(shape, image) == normal
+                   for image in permutations(range(len(shape[0])))), shape
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_normal_of_a_cycle_ignores_declaration_order(n):
+    for order in (2, 3):
+        cycle = ((order,) * n,
+                 tuple((1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n)))
+        normals = {isomorphism._normal(_relabelled_shape(cycle, image))
+                   for image in permutations(range(n))}
+        assert len(normals) == 1

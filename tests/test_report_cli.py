@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -315,16 +315,18 @@ def test_compare_symmetric(corpus_graphs, random_graphs_9):
 
 
 def test_compare_keys_each_distinct_piece_once(monkeypatch):
-    # one shape per distinct piece, one search per shape whose fingerprint
-    # another shape of the same invariant shares, one label per class
+    # one shape per distinct piece, one normal shape per shape whose
+    # fingerprint another shape of the same invariant shares, one search per
+    # normal shape whose fingerprint another normal shape shares, one label
+    # per class
     import graphprod.isomorphism
-    from graphprod.isomorphism import _piece
+    from graphprod.isomorphism import _normal, _piece
 
     rng = random.Random(8080)
     graphs = [make_random_graph(rng, 60, max_order=2, name=f"S{k}", p=0.08)
               for k in range(12)]
     counts = Counter()
-    for name in ("canonical_key", "_piece", "_label"):
+    for name in ("canonical_key", "_piece", "_normal", "_label"):
         _count_calls(monkeypatch, counts, graphprod.isomorphism, name)
     checked = skipped = 0
     for ga, gb in zip(graphs[::2], graphs[1::2]):
@@ -335,12 +337,16 @@ def test_compare_keys_each_distinct_piece_once(monkeypatch):
         counts.clear()
         compare(ga, gb)
         got = Counter(counts)  # the expectations below call _piece too
-        searched, shapes = set(), set()
+        normalised, searched = set(), set()
         for pieces in (sides[0] + sides[1], sides[2] + sides[3]):
             fps = {_piece(p): fingerprint(p) for p in pieces}
             per_fp = Counter(fps.values())
-            searched |= {shape for shape, fp in fps.items() if per_fp[fp] > 1}
-            shapes |= set(fps)
+            shared = {shape: fp for shape, fp in fps.items() if per_fp[fp] > 1}
+            normal_fp = {_normal(shape): fp for shape, fp in shared.items()}
+            per_fp = Counter(normal_fp.values())
+            searched |= {normal for normal, fp in normal_fp.items() if per_fp[fp] > 1}
+            normalised |= set(shared)
+        assert got["_normal"] == len(normalised)
         assert got["canonical_key"] == len(searched)
         masks = {(p.graph, p.mask) for side in sides for p in side}
         assert got["_piece"] == len(masks)
@@ -348,9 +354,9 @@ def test_compare_keys_each_distinct_piece_once(monkeypatch):
         assert got["_label"] == sum(
             len({canonical_key(p) for p in side}) for side in sides)
         checked += sum(map(len, sides)) > len(masks)  # repeats were skipped
-        skipped += len(shapes) - len(searched)
+        skipped += len(normalised) - len(searched)
     assert checked >= 5
-    assert skipped > 0
+    assert skipped > 0   # shared fingerprints that the normal shapes settled
 
 
 def _reference_types(pieces, exact):
@@ -447,6 +453,7 @@ def test_compare_separates_pieces_with_equal_fingerprints(monkeypatch):
     # the two order-3 vertices of a square adjacent or opposite: one
     # fingerprint, two isomorphism types, so the search must run
     import graphprod.isomorphism
+    from graphprod.isomorphism import _normal, _piece
 
     adjacent, opposite = _square("ADJ", "ab"), _square("OPP", "ac")
     relabelled = _square("ADJ2", "ab", declared="cadb")
@@ -458,13 +465,25 @@ def test_compare_separates_pieces_with_equal_fingerprints(monkeypatch):
         in v.distinguishing_invariants
     assert counts["canonical_key"] == 2   # each shape once, for both invariants
     counts.clear()
-    # isomorphic, but declared in another order: two shapes, one class
+    # isomorphic, but declared in another order: two shapes, one normal
+    # shape, so no search
     assert compare(adjacent, relabelled).verdict == "inconclusive"
-    assert counts["canonical_key"] == 2
+    assert counts["canonical_key"] == 0
     counts.clear()
     # one shape on both sides: no search
     assert compare(adjacent, adjacent).verdict == "inconclusive"
     assert counts["canonical_key"] == 0
+    # a square with one order-3 vertex, declared in an order whose normal
+    # shape differs from the one declared "abcd" (the breadth-first order
+    # starts at a different order-2 vertex): isomorphic shapes with one
+    # fingerprint and two normal shapes, so the search runs and finds one class
+    one = _square("ONE", "a")
+    declared = next("".join(d) for d in permutations("abcd")
+                    if _normal(_piece(_square("X", "a", "".join(d)).full_set()))
+                    != _normal(_piece(one.full_set())))
+    counts.clear()
+    assert compare(one, _square("ONE2", "a", declared)).verdict == "inconclusive"
+    assert counts["canonical_key"] == 2   # each normal shape once
 
 
 def test_has_join_form_matches_morse_dichotomy(corpus_graphs):
