@@ -16,14 +16,10 @@ import sys
 import time
 from pathlib import Path
 
+import graphprod.report as report
+from graphprod.graphs import parse_graph
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
-
-import graphprod.report as report  # noqa: E402
-from graphprod.graphs import parse_graph  # noqa: E402
-
-import workloads  # noqa: E402
-
 WORKLOADS = ("analyze_sparse", "analyze_dense")
 
 
@@ -33,6 +29,9 @@ def main():
     ap.add_argument("--rounds", type=int, default=30)
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
+    # workloads.py imports the oracles from tests/
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+    import workloads
 
     spent, searches = [0.0], [0]
     piece_types, canonical_key = report._piece_types, report.canonical_key

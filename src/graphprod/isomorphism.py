@@ -10,12 +10,20 @@ declaration order).  Every formula here is written once on the shape:
   certify sameness;
 - **label** (`_label`): vertex count, edge count and sorted orders, read off
   the fingerprint, so it is an isomorphism invariant too;
+- **normal shape** (`_normal`): the shape relabelled in breadth-first
+  order from its least (order, degree, index) vertex, a cheap relabelling
+  that sends many isomorphic shapes (every labelling of an equal-order
+  cycle, for one) to one shape, though not all of them;
 - **canonical key**: exact, for pieces of at most MAX_EXACT_VERTICES
   vertices.
 
 `fingerprint(s)`, `piece_label(s)` and `canonical_key(s)` apply them to a
-vertex set.  `report.compare` builds each piece's shape once and searches
-only the shapes whose fingerprint another shape shares.
+vertex set.  `report.compare` builds each piece's shape once, normalises
+only the shapes whose fingerprint another shape shares, and searches only
+the normal shapes whose fingerprint another normal shape shares.  Equal
+normal shapes are relabellings of isomorphic pieces, and the canonical key
+does not change under relabelling, so the classes come out as if every
+shape were searched.
 
 The exact key is the minimum leaf of an individualization-refinement search
 tree (McKay & Piperno, *Practical graph isomorphism II*, J. Symbolic Comput.

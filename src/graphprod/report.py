@@ -14,9 +14,12 @@ quasi-isometry claim.
 
 The piece types are compared as multisets of isomorphism classes, taken over
 both graphs together (`_piece_types`): each distinct piece's local shape is
-built once per comparison, and the canonical-labelling search runs only for
-shapes whose degree/order fingerprint another shape shares; a fingerprint
-held by one shape is one class by itself.
+built once per comparison.  A degree/order fingerprint held by one shape is
+one class by itself.  The shapes that share a fingerprint are relabelled in
+breadth-first order (`isomorphism._normal`); equal normal shapes are
+relabellings of one piece type, so a fingerprint whose shapes have one
+normal shape is one class too, and the canonical-labelling search runs only
+for the normal shapes of fingerprints that hold several.
 """
 
 from __future__ import annotations
@@ -362,7 +365,7 @@ def _piece_types(sides, built, normals, keys, exact):
             row.append(got)
             groups.setdefault(got[1], {}).setdefault(got[0], p)
         rows.append(row)
-    found = {}    # shape -> canonical key, for fingerprints held by several types
+    searched = {}  # shape -> canonical key, where a fingerprint holds several types
     if exact:
         for group in groups.values():
             if len(group) == 1:
@@ -377,10 +380,10 @@ def _piece_types(sides, built, normals, keys, exact):
                 k = keys.get(normal)
                 if k is None:
                     k = keys[normal] = canonical_key(p, normal)
-                found[shape] = k
+                searched[shape] = k
     out = []
     for row in rows:
-        counter = Counter((fp, found.get(shape)) for shape, fp in row)
+        counter = Counter((fp, searched.get(shape)) for shape, fp in row)
         shown = sorted(f"{n} x {_label(fp)}" for (fp, _), n in counter.items())
         out.append((counter, "; ".join(shown) or "(none)"))
     return out
