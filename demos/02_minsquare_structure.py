@@ -21,8 +21,8 @@ print("DIAG is the 4-cycle a,b,c,d plus w joined to the diagonal pair {a,c}.")
 seed = diag.subset("abcd")
 trace = square_complete_closure(seed)
 print(f"closing the square {seed}:")
-for square, trigger in trace.steps:
-    print(f"  absorbed {square} (its opposite pair {trigger} was inside)")
+for added, trigger in trace.steps:
+    print(f"  forced in {added} by the squares through its diagonal {trigger}")
 print(f"  result: {trace.result}\n")
 
 edgew = corpus.load("EDGEW")

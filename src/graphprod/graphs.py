@@ -471,10 +471,6 @@ def _list_squares(adj, pairs):
     return rows
 
 
-def _all_pairs(table):
-    return ((x, z, f) for x, row in enumerate(table) for z, f in row.items())
-
-
 def induced_squares(g):
     """All induced 4-cycles of g, as 4-element VertexSets in canonical order.
 
@@ -489,7 +485,8 @@ def induced_squares(g):
     """
     adj = g._adj_bits
     table = _square_pairs(adj)[0]
-    return tuple(_set_from_mask(g, r[0]) for r in _list_squares(adj, _all_pairs(table)))
+    pairs = ((x, z, f) for x, row in enumerate(table) for z, f in row.items())
+    return tuple(_set_from_mask(g, r[0]) for r in _list_squares(adj, pairs))
 
 
 def square_diagonals(s):

@@ -52,11 +52,10 @@ facts.
    component's union, hence a square, so a 4-vertex member is a square,
    and n_squares distinct squares are all of them.
 
-Squares are listed only where the output shows them: by `induced_squares`,
-in the table a traced `square_complete_closure` scans (built on its first
-call), and as the uncovered squares of `electrification_hyperbolic`, taken
-from the components whose closure is not minimal.  Each is listed once,
-from its diagonal through its least vertex.
+Squares are listed only where the output shows them: by `induced_squares`
+and as the uncovered squares of `electrification_hyperbolic`, taken from
+the components whose closure is not minimal.  Each is listed once, from its
+diagonal through its least vertex.
 
 The core is built on first use and kept on the graph itself
 (``SimplicialGraph._core``), so each part is computed at most once per
@@ -72,8 +71,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (
-    _all_pairs,
-    _bits,
     _list_squares,
     _set_from_mask,
     _square_pairs,
@@ -97,9 +94,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClosureTrace:
-    """Certificate of one closure run: each step records the square that was
-    absorbed and the diagonal pair, already inside the accumulated set, that
-    triggered it."""
+    """Certificate of one closure run.  Each step is (added, trigger): the
+    trigger is a non-adjacent pair P already inside the accumulated set,
+    named in declaration order, and added is the part of F(P) not yet in
+    the set, which the squares with diagonal P force in (fact 4 of the
+    module docstring).  Every step adds a vertex, so a closure has at most
+    n steps."""
 
     seed: VertexSet
     steps: tuple
@@ -128,18 +128,16 @@ class _SquareCore:
     unions    vertex mask of each component
     closures  closure mask of each component (lazy)
     minimal   masks of the minsquare subgraphs, ascending (lazy)
-    rows      (mask, diagonal 1, diagonal 2) per square in canonical order,
-              the table a traced closure scans (lazy)
     """
 
     __slots__ = ("pairs", "partners", "n_squares", "comps", "unions",
-                 "closures", "minimal", "rows")
+                 "closures", "minimal")
 
     def __init__(self, g):
         adj = g._adj_bits
         self.pairs, self.partners, self.n_squares = _square_pairs(adj)
         self.comps, self.unions = _components(adj, self.pairs, self.partners)
-        self.closures = self.minimal = self.rows = None
+        self.closures = self.minimal = None
 
 
 def _components(adj, pairs, partners):
@@ -188,11 +186,13 @@ def _core(g):
 
 
 def _close(core, cur):
-    """The closure of the mask cur: a worklist adding F(P) for every pair P
-    inside cur.  Each pair inside the result is taken once, when the later
-    of its two vertices leaves the worklist."""
+    """(closure, steps) of the mask cur: a worklist adding F(P) for every
+    pair P inside cur.  Each pair inside the result is taken once, when the
+    later of its two vertices leaves the worklist; a step (v, w, new) is a
+    pair {v, w} whose F(P) added the vertices new."""
     pairs, partners = core.pairs, core.partners
     todo, done = cur, 0
+    steps = []
     while todo:
         low = todo & -todo
         todo ^= low
@@ -202,11 +202,13 @@ def _close(core, cur):
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            f = pairs[v][w] if v < w else pairs[w][v]
-            todo |= f & ~cur
-            cur |= f
+            new = (pairs[v][w] if v < w else pairs[w][v]) & ~cur
+            if new:
+                todo |= new
+                cur |= new
+                steps.append((v, w, new))
         done |= low
-    return cur
+    return cur, steps
 
 
 def _closures(g):
@@ -216,7 +218,7 @@ def _closures(g):
     idempotent, it is the closure of the component's union, run once."""
     core = _core(g)
     if core.closures is None:
-        core.closures = [_close(core, u) for u in core.unions]
+        core.closures = [_close(core, u)[0] for u in core.unions]
         closures = sorted(set(core.closures))
         core.minimal = tuple(c for c in closures
                              if not any(o != c and o & ~c == 0 for o in closures))
@@ -238,7 +240,7 @@ def _electrification_verdict(g):
 def is_square_complete(s):
     """True iff every square of the ambient graph having an opposite pair in s
     lies inside s: iff F(P) lies in s for every pair P inside s (fact 4 of
-    the module docstring), that is, iff closing s adds nothing.
+    the module docstring), that is, iff closing s takes no step.
 
     >>> from .graphs import parse_graph
     >>> diag = parse_graph("graph DIAG\\nvertex a\\nvertex b\\nvertex c\\nvertex d\\n"
@@ -248,40 +250,21 @@ def is_square_complete(s):
     >>> is_square_complete(diag.full_set())
     True
     """
-    return _close(_core(s.graph), s.mask) == s.mask
+    return not _close(_core(s.graph), s.mask)[1]
 
 
 def square_complete_closure(seed):
-    """Least square-complete superset of the seed, with a step trace.
-
-    Squares are scanned in canonical order and re-scanned until nothing is
-    absorbed, so the trace is deterministic.  The rule is monotone in the
-    seed, and running the closure on its own result adds nothing.  The
-    square table it scans is listed on the first call.
-    """
+    """Least square-complete superset of the seed, with the steps of the
+    closure worklist as its trace (see ClosureTrace).  The rule is monotone
+    in the seed, and running the closure on its own result adds nothing."""
     g = seed.graph
     names = g.vertices
-    core = _core(g)
-    if core.rows is None:
-        core.rows = _list_squares(g._adj_bits, _all_pairs(core.pairs))
-    cur = seed.mask
-    steps = []
-    changed = True
-    while changed:
-        changed = False
-        for sq, d1, d2 in core.rows:
-            if sq & ~cur:
-                if (d1 & ~cur) == 0:
-                    trigger = d1
-                elif (d2 & ~cur) == 0:
-                    trigger = d2
-                else:
-                    continue
-                steps.append((_set_from_mask(g, sq),
-                              tuple(names[i] for i in _bits(trigger))))
-                cur |= sq
-                changed = True
-    return ClosureTrace(seed=seed, steps=tuple(steps), result=_set_from_mask(g, cur))
+    cur, steps = _close(_core(g), seed.mask)
+    return ClosureTrace(
+        seed=seed,
+        steps=tuple((_set_from_mask(g, new), (names[min(v, w)], names[max(v, w)]))
+                    for v, w, new in steps),
+        result=_set_from_mask(g, cur))
 
 
 def minsquare_subgraphs(g):

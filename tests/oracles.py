@@ -183,26 +183,17 @@ def row_squares(g):
 
 
 def row_closure(rows, seed):
-    """(result mask, steps) of the closure of seed by scanning the square
-    rows (mask, diagonal 1, diagonal 2) in order, again and again until
-    nothing is absorbed; a step is (square mask, trigger diagonal mask)."""
+    """The closure of seed, by scanning the square rows (mask, diagonal 1,
+    diagonal 2) in order, again and again until nothing is absorbed."""
     cur = seed
-    steps = []
     changed = True
     while changed:
         changed = False
         for sq, d1, d2 in rows:
-            if sq & ~cur:
-                if d1 & ~cur == 0:
-                    trigger = d1
-                elif d2 & ~cur == 0:
-                    trigger = d2
-                else:
-                    continue
-                steps.append((sq, trigger))
+            if sq & ~cur and (d1 & ~cur == 0 or d2 & ~cur == 0):
                 cur |= sq
                 changed = True
-    return cur, steps
+    return cur
 
 
 class RowSquareCore:
@@ -222,7 +213,7 @@ class RowSquareCore:
         masks = row_squares(g)
         self.rows = [(m, *_diagonals(g._adj_bits, m)) for m in masks]
         self.comp, self.unions = _merge_overlapping(g, masks)
-        self.closures = [row_closure(self.rows, u)[0] for u in self.unions]
+        self.closures = [row_closure(self.rows, u) for u in self.unions]
         closures = sorted(set(self.closures))
         self.minimal = tuple(c for c in closures
                              if not any(o != c and o & ~c == 0 for o in closures))

@@ -19,7 +19,7 @@ from graphprod.graphs import SimplicialGraph, induced_squares, square_diagonals
 from graphprod.report import analyze, compare, render_comparison, render_report
 from graphprod.squares import square_complete_closure
 
-EXPECTED = "8fe38a3aedf2bba20eaa2f869e3410ae42c48150e3fdc5620d69b08d382f3840"
+EXPECTED = "8110b06bac272969c2c2efa332f75103c37706778175ada5d5bd5fb823102089"
 RENDER_EXPECTED = "d2c3da6e1fba23e7254324315935afe0afe0f8a6d9769abd1a3514371609f98d"
 
 def _gnp(rng, name, n, p, max_order=3):

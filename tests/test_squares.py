@@ -2,7 +2,13 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from graphprod.graphs import _LEX_ORDER_MAX_N, SimplicialGraph, _bits, _set_from_mask
+from graphprod.graphs import (
+    _LEX_ORDER_MAX_N,
+    SimplicialGraph,
+    _bits,
+    _set_from_mask,
+    induced_squares,
+)
 from graphprod.relhyp import jinf
 from graphprod.squares import (
     _close,
@@ -22,6 +28,7 @@ from oracles import (
     brute_closure,
     brute_is_square_complete,
     brute_minsquare,
+    brute_squares,
     make_random_graph,
     row_closure,
 )
@@ -42,28 +49,32 @@ def test_closure_examples(corpus_graphs):
     assert tr.result.members == set("abcd") and tr.steps == ()
     tr = square_complete_closure(diag.subset("abcd"))
     assert tr.result.members == {"a", "b", "c", "d", "w"}
-    assert len(tr.steps) >= 1
-    first_square, trigger = tr.steps[0]
-    assert set(trigger) <= set("abcd")
+    # the squares through the diagonal {a, c} force w in, in one step
+    assert [(added.members, trigger) for added, trigger in tr.steps] == \
+        [({"w"}, ("a", "c"))]
     for q in minsquare_subgraphs(k33):
         pass
-    from graphprod.graphs import induced_squares
     for q in induced_squares(k33):
         assert square_complete_closure(q).result.members == set("abcxyz")
 
 
 def test_closure_trace_is_sound(corpus_graphs, random_graphs_9):
-    from graphprod.graphs import induced_squares, square_diagonals
     for g in list(corpus_graphs.values()) + random_graphs_9[:60]:
+        squares = brute_squares(g)
         for q in induced_squares(g):
             tr = square_complete_closure(q)
             acc = set(tr.seed.members)
-            for sq, trigger in tr.steps:
-                assert set(trigger) <= acc
-                assert tuple(sorted(trigger)) in [tuple(sorted(d))
-                                                  for d in square_diagonals(sq)]
-                acc |= sq.members
+            for added, trigger in tr.steps:
+                # each step is forced: the trigger is a diagonal inside the
+                # set, and the step adds exactly what its squares add
+                a, c = trigger
+                assert a in acc and c in acc and not g.adjacent(a, c)
+                assert g.index(a) < g.index(c)
+                through = set().union(*(sq for sq in squares if a in sq and c in sq))
+                assert added.members and added.members == through - acc
+                acc |= added.members
             assert acc == tr.result.members
+            assert len(tr.steps) <= g.n
             assert is_square_complete(tr.result)
             # fixed point
             again = square_complete_closure(tr.result)
@@ -71,7 +82,6 @@ def test_closure_trace_is_sound(corpus_graphs, random_graphs_9):
 
 
 def test_closure_matches_bruteforce(corpus_graphs, random_graphs_9):
-    from graphprod.graphs import induced_squares
     for g in list(corpus_graphs.values()) + random_graphs_9:
         for q in induced_squares(g):
             assert square_complete_closure(q).result.members == \
@@ -257,14 +267,12 @@ def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
             mask = rng.getrandbits(g.n)
             s = _set_from_mask(g, mask)
             assert is_square_complete(s) == old.is_square_complete(mask)
-            want, steps = row_closure(old.rows, mask)
-            assert _close(new, mask) == want
-            tr = square_complete_closure(s)
-            assert tr.result.mask == want
-            assert [(q.mask, sum(1 << g.index(v) for v in d)) for q, d in tr.steps] == steps
+            want = row_closure(old.rows, mask)
+            assert _close(new, mask)[0] == want
+            assert square_complete_closure(s).result.mask == want
         if old.rows:
-            assert new.rows == old.rows
             masks = [row[0] for row in old.rows]
+            assert [q.mask for q in induced_squares(g)] == masks
             if sorted(masks) != sorted(masks, key=lambda m: tuple(_bits(m))):
                 seen["lex order" if g.n <= _LEX_ORDER_MAX_N else "mask order"] += 1
             seen["jinf step 0"] += iterations == 0
