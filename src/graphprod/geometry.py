@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import is_star_of_vertex
+from .graphs import GraphMismatchError, is_star_of_vertex
 from .squares import minsquare_subgraphs
 from .words import (
     NormalForm,
@@ -608,7 +608,7 @@ def electrified_distance(x, y, radius, max_vertices=DEFAULT_VERTEX_CAP):
     """BFS distance between two ball members after coning off every minsquare
     parabolic coset."""
     if x.graph != y.graph:
-        raise ValueError("operands over different graphs")
+        raise GraphMismatchError("operands over different graphs")
     ball = build_ball(x.graph, radius, electrified=True, max_vertices=max_vertices)
     ix = ball.index_of(x)
     iy = ball.index_of(y)

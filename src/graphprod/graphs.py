@@ -447,13 +447,12 @@ def _square_pairs(adj):
 
 
 def _list_squares(adj, pairs):
-    """(mask, diagonal 1, diagonal 2) of the squares through the pairs
-    (x, z, F), x < z, that have x as their least vertex, in canonical order;
-    diagonal 1 is the one through the least vertex, as in _diagonals.  Over
-    all pairs this lists each square once, from that diagonal."""
-    rows = []
+    """Masks of the squares through the pairs (x, z, F), x < z, that have x
+    as their least vertex, in canonical order.  Over all pairs this lists
+    each square once, from its diagonal through the least vertex."""
+    masks = []
     for x, z, f in pairs:
-        d1 = (1 << x) | (1 << z)
+        d = (1 << x) | (1 << z)
         f &= -2 << x
         rest = f
         while rest:
@@ -463,12 +462,12 @@ def _list_squares(adj, pairs):
             while m:
                 w = m & -m
                 m ^= w
-                rows.append((d1 | y | w, d1, y | w))
+                masks.append(d | y | w)
     if len(adj) <= _LEX_ORDER_MAX_N:
-        rows.sort(key=lambda r: tuple(_bits(r[0])))
+        masks.sort(key=lambda m: tuple(_bits(m)))
     else:
-        rows.sort()
-    return rows
+        masks.sort()
+    return masks
 
 
 def induced_squares(g):
@@ -486,7 +485,7 @@ def induced_squares(g):
     adj = g._adj_bits
     table = _square_pairs(adj)[0]
     pairs = ((x, z, f) for x, row in enumerate(table) for z, f in row.items())
-    return tuple(_set_from_mask(g, r[0]) for r in _list_squares(adj, pairs))
+    return tuple(_set_from_mask(g, m) for m in _list_squares(adj, pairs))
 
 
 def square_diagonals(s):

@@ -40,9 +40,7 @@ from .isomorphism import (
 )
 from .relhyp import jinf
 from .squares import (
-    _closures,
     _core,
-    _electrification_verdict,
     _morse_dichotomy,
     cfs_check,
     electrification_hyperbolic,
@@ -50,7 +48,7 @@ from .squares import (
     is_minsquare_graph,
     minsquare_subgraphs,
 )
-from .graphs import _bits, _universal, clique_number, core_decomposition
+from .graphs import _bits, clique_number, core_decomposition
 
 __all__ = ["AnalysisReport", "ComparisonVerdict", "analyze", "compare",
            "render_report", "render_comparison"]
@@ -308,26 +306,6 @@ class ComparisonVerdict:
         return loads(self.to_json())
 
 
-def _has_join_form(g):
-    """`not is_hyperbolic(g) and morse_all_hyperbolic(g).all_hyperbolic`,
-    read off the masks: the non-universal vertices form a minsquare
-    subgraph.  A square-free graph has none, so its degrees are not
-    read."""
-    minimal = _closures(g).minimal
-    full = (1 << g.n) - 1
-    return bool(minimal) and (full & ~_universal(g, full)) in minimal
-
-
-def _has_sc_order2_square(g):
-    # a square is square-complete iff its component is that square alone
-    # (a union of 4 vertices) and the closure adds nothing
-    core = _closures(g)
-    orders = g._orders_ix
-    return any(u.bit_count() == 4 and c == u
-               and all(orders[i] == 2 for i in _bits(u))
-               for u, c in zip(core.unions, core.closures))
-
-
 def _piece_types(sides, built, normals, keys, exact):
     """The pieces of the sides sorted into isomorphism classes with order
     labels: per side, (Counter over class keys, display string).
@@ -401,18 +379,19 @@ def compare(ga, gb):
     if ha != hb:
         diffs.append(("hyperbolic", str(ha), str(hb)))
 
+    ca, cb = _core(ga), _core(gb)
     msa, msb = is_minsquare_graph(ga), is_minsquare_graph(gb)
-    ja, jb = _has_join_form(ga), _has_join_form(gb)
+    ja, jb = ca.join_form, cb.join_form
     if (msa and not jb) or (msb and not ja):
         diffs.append(("minsquare_join_form",
                       f"minsquare graph: {msa}; join form: {ja}",
                       f"minsquare graph: {msb}; join form: {jb}"))
 
-    sa, sb = _has_sc_order2_square(ga), _has_sc_order2_square(gb)
+    sa, sb = ca.sc_order2_square, cb.sc_order2_square
     if sa != sb:
         diffs.append(("square_complete_order2_square", str(sa), str(sb)))
 
-    ea, eb = _electrification_verdict(ga), _electrification_verdict(gb)
+    ea, eb = ca.electrification_hyperbolic, cb.electrification_hyperbolic
     if ea != eb:
         diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
 

@@ -54,15 +54,17 @@ facts.
 
 Squares are listed only where the output shows them: by `induced_squares`
 and as the uncovered squares of `electrification_hyperbolic`, taken from
-the components whose closure is not minimal.  Each is listed once, from its
+the pairs that lie in no minsquare subgraph.  Each is listed once, from its
 diagonal through its least vertex.
 
-The core is built on first use and kept on the graph itself
-(``SimplicialGraph._core``), so each part is computed at most once per
-graph; there is no module-level cache.  The core holds no reference back to
-the graph (public functions build VertexSets from its masks on return), so
-a graph and its core are freed by reference counting as soon as nothing
-refers to the graph.
+The core is one record per graph, built whole on first use and kept on the
+graph itself (``SimplicialGraph._core``): the pairs, the components of the
+squares, their closures and the minsquare masks, and the square verdicts
+that `report.analyze` and `report.compare` read.  So each part is computed
+once per graph; there is no module-level cache.  The core holds no
+reference back to the graph (public functions build VertexSets from its
+masks on return), so a graph and its core are freed by reference counting
+as soon as nothing refers to the graph.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (
+    _bits,
     _list_squares,
     _set_from_mask,
     _square_pairs,
+    _universal,
     core_decomposition,
 )
 
@@ -124,39 +128,60 @@ class _SquareCore:
               non-adjacent pairs that carry a square (see _square_pairs)
     partners  per vertex, the mask of vertices it forms such a pair with
     n_squares number of induced squares
-    comps     per component of the squares, its pairs (x, z)
-    unions    vertex mask of each component
-    closures  closure mask of each component (lazy)
-    minimal   masks of the minsquare subgraphs, ascending (lazy)
+    unions    vertex mask of each component of the squares (fact 3)
+    closures  closure mask of each component's union, which is the closure
+              of any square of the component (fact 5)
+    minimal   masks of the minsquare subgraphs, ascending: the minimal
+              closures
+    electrification_hyperbolic
+              every component's closure is minimal, so every square lies
+              in a minsquare subgraph (see electrification_hyperbolic)
+    join_form the non-universal vertices form a minsquare subgraph: the
+              graph has a square and splits as the join of a minsquare
+              subgraph and a complete graph (see morse_all_hyperbolic)
+    sc_order2_square
+              a union of 4 vertices, all of order 2, equals its own
+              closure: a square-complete square with all orders 2 (fact 5)
     """
 
-    __slots__ = ("pairs", "partners", "n_squares", "comps", "unions",
-                 "closures", "minimal")
+    __slots__ = ("pairs", "partners", "n_squares", "unions", "closures",
+                 "minimal", "electrification_hyperbolic", "join_form",
+                 "sc_order2_square")
 
     def __init__(self, g):
         adj = g._adj_bits
         self.pairs, self.partners, self.n_squares = _square_pairs(adj)
-        self.comps, self.unions = _components(adj, self.pairs, self.partners)
-        self.closures = self.minimal = None
+        self.unions = _components(adj, self.pairs, self.partners)
+        self.closures = [_close(self, u)[0] for u in self.unions]
+        closures = sorted(set(self.closures))
+        self.minimal = tuple(c for c in closures
+                             if not any(o != c and o & ~c == 0 for o in closures))
+        # the minimal closures are among the distinct closures
+        self.electrification_hyperbolic = len(self.minimal) == len(closures)
+        # a square-free graph has no minimal closure, so its degrees are not read
+        full = (1 << g.n) - 1
+        self.join_form = bool(self.minimal) and (full & ~_universal(g, full)) in self.minimal
+        orders = g._orders_ix
+        self.sc_order2_square = any(
+            u.bit_count() == 4 and c == u and all(orders[i] == 2 for i in _bits(u))
+            for u, c in zip(self.unions, self.closures))
 
 
 def _components(adj, pairs, partners):
-    """The components of the squares as (pair lists, union masks), found as
-    the components of the pair graph of fact 3 by a depth-first search that
+    """The union masks of the components of the squares, found as the
+    components of the pair graph of fact 3 by a depth-first search that
     keeps, per lower vertex u, the mask of partners v > u whose pair is not
     yet reached."""
     unseen = [p & (-2 << u) for u, p in enumerate(partners)]
-    comps, unions = [], []
+    unions = []
     for x in range(len(pairs)):
         while unseen[x]:
             low = unseen[x] & -unseen[x]
             unseen[x] ^= low
             stack = [(x, low.bit_length() - 1)]
-            members = []
             union = 0
             while stack:
                 a, c = stack.pop()
-                members.append((a, c))
                 f = pairs[a][c]
                 union |= f
                 rest = f
@@ -171,9 +196,8 @@ def _components(adj, pairs, partners):
                             v = new & -new
                             new ^= v
                             stack.append((u, v.bit_length() - 1))
-            comps.append(members)
             unions.append(union)
-    return comps, unions
+    return unions
 
 
 def _core(g):
@@ -211,32 +235,6 @@ def _close(core, cur):
     return cur, steps
 
 
-def _closures(g):
-    """The core with its closures and minsquare masks filled in.  A square
-    sharing a diagonal with one inside the current set is absorbed, so the
-    closure of any square contains its component; being monotone and
-    idempotent, it is the closure of the component's union, run once."""
-    core = _core(g)
-    if core.closures is None:
-        core.closures = [_close(core, u)[0] for u in core.unions]
-        closures = sorted(set(core.closures))
-        core.minimal = tuple(c for c in closures
-                             if not any(o != c and o & ~c == 0 for o in closures))
-    return core
-
-
-def _uncovered_components(core):
-    """Indices of the components whose closure is not minimal: their
-    squares lie in no minsquare subgraph."""
-    minimal = set(core.minimal)
-    return [k for k, c in enumerate(core.closures) if c not in minimal]
-
-
-def _electrification_verdict(g):
-    """electrification_hyperbolic(g).hyperbolic, without listing squares."""
-    return not _uncovered_components(_closures(g))
-
-
 def is_square_complete(s):
     """True iff every square of the ambient graph having an opposite pair in s
     lies inside s: iff F(P) lies in s for every pair P inside s (fact 4 of
@@ -271,12 +269,12 @@ def minsquare_subgraphs(g):
     """Inclusion-minimal square-complete subgraphs containing a square, as the
     minimal elements of the squares' closures.  Canonically sorted; empty iff
     the graph is square-free."""
-    return tuple(_set_from_mask(g, m) for m in _closures(g).minimal)
+    return tuple(_set_from_mask(g, m) for m in _core(g).minimal)
 
 
 def is_minsquare_graph(g):
     """True iff g contains a square and its only minsquare subgraph is g itself."""
-    return _closures(g).minimal == ((1 << g.n) - 1,)
+    return _core(g).minimal == ((1 << g.n) - 1,)
 
 
 def is_hyperbolic(g):
@@ -293,13 +291,20 @@ def electrification_hyperbolic(g):
 
     A minsquare subgraph containing a square contains its closure, and the
     closure already contains a minsquare subgraph, so a square is covered
-    iff its closure is minimal."""
-    core = _closures(g)
-    pairs = [(x, z, core.pairs[x][z])
-             for k in _uncovered_components(core) for x, z in core.comps[k]]
-    uncovered = tuple(_set_from_mask(g, r[0])
-                      for r in _list_squares(g._adj_bits, pairs)) if pairs else ()
-    return ElectrificationCheck(hyperbolic=not uncovered, uncovered=uncovered)
+    iff its closure is minimal.  The uncovered squares are the squares
+    through the pairs that lie in no minsquare subgraph.  If a pair P lies
+    inside a minimal closure M, every square through P lies in M, because
+    M is square-complete; so the closure of P's component, which is the
+    closure of any of its squares, lies in M, and equals M by minimality.
+    Conversely, a minimal closure holds its component's pairs."""
+    core = _core(g)
+    if core.electrification_hyperbolic:
+        return ElectrificationCheck(hyperbolic=True, uncovered=())
+    minimal = core.minimal
+    pairs = [(x, z, f) for x, row in enumerate(core.pairs) for z, f in row.items()
+             if all((1 << x | 1 << z) & ~m for m in minimal)]
+    uncovered = tuple(_set_from_mask(g, m) for m in _list_squares(g._adj_bits, pairs))
+    return ElectrificationCheck(hyperbolic=False, uncovered=uncovered)
 
 
 def morse_all_hyperbolic(g):
@@ -317,12 +322,13 @@ def morse_all_hyperbolic(g):
 
 def _morse_dichotomy(g, split):
     """`morse_all_hyperbolic` given the core decomposition (lambda0, lambda1)
-    of the whole vertex set, so a caller that already has it splits once."""
+    of the whole vertex set, which the certificate shows; the verdict is
+    the square core's join_form."""
     if is_hyperbolic(g):
         return MorseDichotomy(True, "square-free")
+    if _core(g).join_form:
+        return MorseDichotomy(True, split)
     lam0, lam1 = split
-    if lam0.mask in _closures(g).minimal:
-        return MorseDichotomy(True, (lam0, lam1))
     return MorseDichotomy(
         False,
         f"core {lam0!r} is not a minsquare subgraph (complete factor {lam1!r})")

@@ -12,8 +12,8 @@ from itertools import combinations
 
 from graphprod.corpus import CORPUS_NAMES, load
 from graphprod.graphs import SimplicialGraph
-from graphprod.report import _has_join_form, _has_sc_order2_square, compare
-from graphprod.squares import _electrification_verdict, is_hyperbolic
+from graphprod.report import compare
+from graphprod.squares import _core, is_hyperbolic
 from graphprod.words import identity
 
 from oracles import retraction_kernel, retraction_kernel_images
@@ -102,9 +102,10 @@ def test_compare_never_distinguishes_a_finite_index_kernel():
         names = {name for name, _, _ in verdict.distinguishing_invariants}
         assert names <= PIECE_TYPES, (g.name, v, verdict.distinguishing_invariants)
         fired |= names
+        core = _core(g)
         seen["non-hyperbolic"] += not is_hyperbolic(g)
-        seen["join form"] += _has_join_form(g)
-        seen["order-2 square"] += _has_sc_order2_square(g)
-        seen["electrification not hyperbolic"] += not _electrification_verdict(g)
+        seen["join form"] += core.join_form
+        seen["order-2 square"] += core.sc_order2_square
+        seen["electrification not hyperbolic"] += not core.electrification_hyperbolic
     assert fired == PIECE_TYPES
     assert min(seen.values()) >= 10, seen

@@ -13,19 +13,19 @@ import pytest
 
 from graphprod.cli import main
 from graphprod.corpus import CORPUS_NAMES, corpus_text
-from graphprod.graphs import SimplicialGraph, induced_squares, parse_graph, square_diagonals
+from graphprod.graphs import SimplicialGraph, induced_squares, parse_graph
 from graphprod.isomorphism import MAX_EXACT_VERTICES, canonical_key, fingerprint, piece_label
 from graphprod.relhyp import jinf
 from graphprod.report import (
     _FOOTNOTE,
     ComparisonVerdict,
-    _has_join_form,
     analyze,
     compare,
     render_comparison,
     render_report,
 )
 from graphprod.squares import (
+    _core,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
@@ -35,7 +35,7 @@ from graphprod.squares import (
     morse_all_hyperbolic,
 )
 
-from oracles import make_random_graph
+from oracles import RowSquareCore, brute_join_split_exists, make_random_graph
 
 SQ4_O3 = """\
 graph SQ4O3
@@ -237,7 +237,7 @@ def test_analyze_closes_each_square_component_once(monkeypatch):
 
 
 def test_component_closures_match_square_closures():
-    from graphprod.squares import _closures, square_complete_closure
+    from graphprod.squares import square_complete_closure
 
     rng = random.Random(4041)
     for n in range(20, 41, 4):
@@ -245,11 +245,13 @@ def test_component_closures_match_square_closures():
         p = rng.uniform(0.2, 0.4)
         g = SimplicialGraph(f"D{n}", verts, [
             (u, v) for u, v in combinations(verts, 2) if rng.random() < p])
-        core = _closures(g)
-        comp_of = {pair: k for k, pairs in enumerate(core.comps) for pair in pairs}
-        for q in induced_squares(g):
-            pair = tuple(g.index(v) for v in square_diagonals(q)[0])
-            assert square_complete_closure(q).result.mask == core.closures[comp_of[pair]]
+        core = _core(g)
+        closure_of = dict(zip(core.unions, core.closures))
+        # each square's component, from the row core; a component's
+        # closure is the closure of its union
+        old = RowSquareCore(g)
+        for q, k in zip(induced_squares(g), old.comp):
+            assert square_complete_closure(q).result.mask == closure_of[old.unions[k]]
 
 
 def test_analysis_leaves_no_cyclic_garbage():
@@ -486,15 +488,15 @@ def test_compare_separates_pieces_with_equal_fingerprints(monkeypatch):
     assert counts["canonical_key"] == 2   # each normal shape once
 
 
-def test_has_join_form_matches_morse_dichotomy(corpus_graphs):
+def test_core_join_form_matches_brute_join_split(corpus_graphs):
     rng = random.Random(4242)
     graphs = list(corpus_graphs.values())
     graphs += [make_random_graph(rng, 10, name=f"J{k}", p=rng.uniform(0.3, 0.9))
                for k in range(300)]
     seen = Counter()
     for g in graphs:
-        want = not is_hyperbolic(g) and morse_all_hyperbolic(g).all_hyperbolic
-        assert _has_join_form(g) == want, g
+        want = not is_hyperbolic(g) and brute_join_split_exists(g)
+        assert _core(g).join_form == want, g
         seen[want] += 1
     assert seen[True] >= 10 and seen[False] >= 10, seen
 
@@ -775,7 +777,6 @@ def test_compare_distinctions_recompute(corpus_graphs, random_graphs_9):
     # every reported distinction must be reproducible from the modules
     rng = random.Random(9000)
     graphs = list(corpus_graphs.values()) + rng.sample(random_graphs_9, 20)
-    from graphprod.report import _has_join_form, _has_sc_order2_square
     for _ in range(40):
         ga, gb = rng.sample(graphs, 2)
         v = compare(ga, gb)
@@ -783,10 +784,10 @@ def test_compare_distinctions_recompute(corpus_graphs, random_graphs_9):
             if name == "hyperbolic":
                 assert is_hyperbolic(ga) != is_hyperbolic(gb)
             elif name == "minsquare_join_form":
-                assert (is_minsquare_graph(ga) and not _has_join_form(gb)) or \
-                    (is_minsquare_graph(gb) and not _has_join_form(ga))
+                assert (is_minsquare_graph(ga) and not _core(gb).join_form) or \
+                    (is_minsquare_graph(gb) and not _core(ga).join_form)
             elif name == "square_complete_order2_square":
-                assert _has_sc_order2_square(ga) != _has_sc_order2_square(gb)
+                assert _core(ga).sc_order2_square != _core(gb).sc_order2_square
             elif name == "electrification_hyperbolic":
                 assert electrification_hyperbolic(ga).hyperbolic != \
                     electrification_hyperbolic(gb).hyperbolic

@@ -12,7 +12,7 @@ from graphprod.graphs import (
 from graphprod.relhyp import jinf
 from graphprod.squares import (
     _close,
-    _closures,
+    _core,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
@@ -241,21 +241,19 @@ def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
     seen = Counter()
     for g in list(corpus_graphs.values()) + random_graphs_9 + _gnp_10_40():
         old = RowSquareCore(g)
-        new = _closures(g)
+        new = _core(g)
         assert new.n_squares == len(old.rows)
-        # a square's component is that of either diagonal; the two cores'
-        # components must correspond one to one
-        comp_of = {pair: k for k, pairs in enumerate(new.comps) for pair in pairs}
-        match = {}
-        for (_, d1, d2), k in zip(old.rows, old.comp):
-            here = comp_of[tuple(_bits(d1))]
-            assert comp_of[tuple(_bits(d2))] == here
-            assert match.setdefault(k, here) == here
-        assert sorted(match.values()) == list(range(len(new.comps)))
-        for k, here in match.items():
-            assert new.unions[here] == old.unions[k]
-            assert new.closures[here] == old.closures[k]
+        # the two cores' components, each with its closure, are the same
+        assert sorted(zip(new.unions, new.closures)) == sorted(zip(old.unions, old.closures))
         assert new.minimal == old.minimal
+        assert new.electrification_hyperbolic == (not old.uncovered)
+        # the non-adjacent pairs inside a square are its diagonals, so it is
+        # square-complete iff no other square has either of them as a diagonal
+        orders = g._orders_ix
+        shared = Counter(d for _, d1, d2 in old.rows for d in (d1, d2))
+        assert new.sc_order2_square == any(
+            shared[d1] == shared[d2] == 1 and all(orders[i] == 2 for i in _bits(m))
+            for m, d1, d2 in old.rows)
         res = electrification_hyperbolic(g)
         assert [q.mask for q in res.uncovered] == old.uncovered
         assert res.hyperbolic == (not old.uncovered)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod.geometry import hyperplane_of_edge
+from graphprod.geometry import electrified_distance, hyperplane_of_edge
 from graphprod.graphs import GraphMismatchError, SimplicialGraph, parse_graph
 from graphprod.words import (
     Word,
@@ -183,6 +183,8 @@ def test_graph_mismatch_raises(corpus_graphs):
         parabolic_membership(identity(sq4), c5.full_set())
     with pytest.raises(GraphMismatchError):
         head(identity(sq4), c5.full_set())
+    with pytest.raises(GraphMismatchError):
+        electrified_distance(identity(sq4), identity(c5), 1)
 
 
 # --- membership, head, projection ---------------------------------------------------
