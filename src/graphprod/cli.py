@@ -11,7 +11,9 @@ Words are whitespace-separated tokens ``v`` or ``v^k``; ``e`` is the empty
 word.  Exit codes: 0 success, 1 usage, parse or bad-argument error, 2
 resource cap hit; errors are one line on stderr.  When the reader of
 standard output goes away before everything is written (``gpr ball ... |
-head -1``), gpr stops quietly with exit code 1.
+head -1``), gpr stops quietly with exit code 1.  ``gpr flat`` caps its grid
+at 200,000 vertices, which bounds memory, not time: checking the grid
+(``FlatGrid.is_isometric``) takes time growing about as size^4, with no cap.
 """
 
 from __future__ import annotations

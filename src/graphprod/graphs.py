@@ -561,42 +561,6 @@ def clique_number(g):
     return best
 
 
-def _merge_overlapping(g, masks):
-    """Connected components of masks, two masks being joined when they share
-    a non-adjacent vertex pair (when their intersection is not complete).
-    Returns the component index of each mask and the union of each
-    component, components listed in order of first member.  A union-find
-    over an index from each non-adjacent pair, among vertices lying in two
-    or more masks, to the first mask holding it."""
-    adj = g._adj_bits
-    seen = shared = 0
-    for m in masks:
-        shared |= seen & m
-        seen |= m
-    parent = list(range(len(masks)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first = {}
-    for i, m in enumerate(masks):
-        inner = m & shared
-        for u in _bits(inner):
-            for v in _bits(inner & ~adj[u] & (-1 << (u + 1))):
-                ri, rj = find(i), find(first.setdefault((u, v), i))
-                if ri != rj:
-                    parent[ri] = rj
-    slot = {}
-    comp = [slot.setdefault(find(i), len(slot)) for i in range(len(masks))]
-    unions = [0] * len(slot)
-    for k, m in zip(comp, masks):
-        unions[k] |= m
-    return comp, unions
-
-
 def _universal(g, mask):
     """Members of mask adjacent to every other member.  Such a member has
     at least |mask| - 1 neighbours, so when no vertex does, one pass over

@@ -296,13 +296,18 @@ def electrification_hyperbolic(g):
     inside a minimal closure M, every square through P lies in M, because
     M is square-complete; so the closure of P's component, which is the
     closure of any of its squares, lies in M, and equals M by minimality.
-    Conversely, a minimal closure holds its component's pairs."""
+    Conversely, a minimal closure holds its component's pairs.  A pair
+    {x, z} lies in a minimal closure iff the closures holding x and the
+    closures holding z meet, read as the masks of their indices."""
     core = _core(g)
     if core.electrification_hyperbolic:
         return ElectrificationCheck(hyperbolic=True, uncovered=())
-    minimal = core.minimal
+    inside = [0] * g.n
+    for k, m in enumerate(core.minimal):
+        for v in _bits(m):
+            inside[v] |= 1 << k
     pairs = [(x, z, f) for x, row in enumerate(core.pairs) for z, f in row.items()
-             if all((1 << x | 1 << z) & ~m for m in minimal)]
+             if not inside[x] & inside[z]]
     uncovered = tuple(_set_from_mask(g, m) for m in _list_squares(g._adj_bits, pairs))
     return ElectrificationCheck(hyperbolic=False, uncovered=uncovered)
 

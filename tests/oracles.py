@@ -30,9 +30,8 @@ from graphprod.graphs import (
     SimplicialGraph,
     _bits,
     _diagonals,
-    _merge_overlapping,
 )
-from graphprod.relhyp import _step
+from graphprod.relhyp import _cp_mask
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import (
     NormalForm,
@@ -107,11 +106,7 @@ def brute_closure(g, seed):
     square-complete supersets (square-completeness is intersection-closed)."""
     seed = frozenset(seed)
     sc, _ = brute_square_complete_sets(g)
-    supersets = [s for s in sc if seed <= s]
-    out = frozenset(g.vertices)
-    for s in supersets:
-        out &= s
-    return out
+    return frozenset(g.vertices).intersection(*(s for s in sc if seed <= s))
 
 
 def brute_minsquare(g):
@@ -196,12 +191,44 @@ def row_closure(rows, seed):
     return cur
 
 
+def union_find(n, joins):
+    """Class of each of n items, numbered by first item, under the
+    equivalence the item pairs in joins generate."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in joins:
+        parent[find(a)] = find(b)
+    slot = {}
+    return [slot.setdefault(find(i), len(slot)) for i in range(n)]
+
+
+def pair_components(g, masks):
+    """(component of each mask, union of each component), masks joined
+    when they share a non-adjacent pair, keyed by the pair's mask: on
+    squares, by their diagonals, in time linear in the squares."""
+    adj = g._adj_bits
+    first = {}
+    comp = union_find(len(masks), (
+        (i, first.setdefault(1 << u | 1 << v, i))
+        for i, m in enumerate(masks) for u in _bits(m)
+        for v in _bits(m & ~adj[u] & (-2 << u))))
+    unions = [0] * (max(comp, default=-1) + 1)
+    for k, m in zip(comp, masks):
+        unions[k] |= m
+    return comp, unions
+
+
 class RowSquareCore:
     """The square data of a graph held as one row per induced square.
 
     rows      (mask, diagonal 1, diagonal 2) per square, in canonical order
-    comp      component index of each square, squares joined when they
-              share a non-adjacent pair
+    comp      component index of each square (see pair_components)
     unions    vertex mask of each component
     closures  row_closure result of each component's union
     minimal   the minimal closures, ascending
@@ -212,7 +239,7 @@ class RowSquareCore:
         self.graph = g
         masks = row_squares(g)
         self.rows = [(m, *_diagonals(g._adj_bits, m)) for m in masks]
-        self.comp, self.unions = _merge_overlapping(g, masks)
+        self.comp, self.unions = pair_components(g, masks)
         self.closures = [row_closure(self.rows, u) for u in self.unions]
         closures = sorted(set(self.closures))
         self.minimal = tuple(c for c in closures
@@ -229,15 +256,12 @@ class RowSquareCore:
         """(member masks, iterations) of the merge-and-pad iteration started
         from the sorted square masks."""
         g = self.graph
-        collection = sorted(row[0] for row in self.rows)
-        if not collection:
-            return [], 0
-        nxt = _step(g, collection)
-        iterations = 0
-        while nxt != collection:
-            collection = nxt
-            nxt = _step(g, collection)
-            iterations += 1
+        collection, iterations = sorted(row[0] for row in self.rows), 0
+        while collection:
+            nxt = sorted({_cp_mask(g, u) for u in pair_components(g, collection)[1]})
+            if nxt == collection:
+                break
+            collection, iterations = nxt, iterations + 1
         return collection, iterations
 
 
@@ -268,26 +292,15 @@ def edge_class_partition(ball):
     opposite sides of an induced square (transitive closure)."""
     edges = sorted((i, j) for (i, j, _) in ball.edges())
     eid = {e: k for k, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def unite(a, b):
-        parent[find(a)] = find(b)
-
     adjset = [set(nb) for nb in ball.adj]
 
     def key(a, b):
         return eid[(a, b) if a < b else (b, a)]
 
+    joins = []
     for (x, y) in edges:
         for z in adjset[x] & adjset[y]:
-            unite(key(x, y), key(x, z))
-            unite(key(x, y), key(y, z))
+            joins += [(key(x, y), key(x, z)), (key(x, y), key(y, z))]
     for (x, y) in edges:
         for z in adjset[y]:
             if z == x or z in adjset[x]:
@@ -295,10 +308,10 @@ def edge_class_partition(ball):
             for w in adjset[x] & adjset[z]:
                 if w == y or w in adjset[y]:
                     continue
-                unite(key(x, y), key(w, z))  # opposite sides x-y and w-z
+                joins.append((key(x, y), key(w, z)))  # opposite sides x-y and w-z
     classes = {}
-    for e in edges:
-        classes.setdefault(find(eid[e]), set()).add(e)
+    for e, k in zip(edges, union_find(len(edges), joins)):
+        classes.setdefault(k, set()).add(e)
     return {frozenset(c) for c in classes.values()}
 
 
@@ -411,8 +424,8 @@ def growth_counts(g, radius):
         term = [Fraction(1)] + [Fraction(0)] * deg
         for v in clique:
             a = g._orders_ix[v] - 1
-            inv = [Fraction((-a) ** k) for k in range(deg + 1)]  # 1/(1+at)
-            factor = _series_mul([Fraction(0), Fraction(-a)], inv, deg)
+            # -at / (1 + at)
+            factor = [Fraction(0)] + [Fraction((-a) ** k) for k in range(1, deg + 1)]
             term = _series_mul(term, factor, deg)
         total = [x + y for x, y in zip(total, term)]
     series = _series_inv(total, deg)
@@ -478,15 +491,10 @@ def brute_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
 
 
 def brute_cone_edges(ball):
-    """`CayleyBall.cone_edges` with a set of the pairs already yielded."""
-    seen = set()
-    for group in ball.cone_groups:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                e = (group[a], group[b])
-                if e not in seen:
-                    seen.add(e)
-                    yield e
+    """`CayleyBall.cone_edges` as the pairs of every group, each kept where
+    it first appears."""
+    return iter(dict.fromkeys(e for group in ball.cone_groups
+                              for e in combinations(group, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,30 +530,13 @@ def brute_canonical(g, sylls):
     """Lexicographically least shuffle of a reduced syllable list: repeatedly
     emit the least-vertex syllable among those not blocked by an earlier
     non-commuting one."""
-    n = len(sylls)
-    if n < 2:
-        return list(sylls)
     adj = g._adj_bits
-    used = [False] * n
+    rest = list(sylls)
     out = []
-    for _ in range(n):
-        best = -1
-        for i in range(n):
-            if used[i]:
-                continue
-            v = sylls[i][0]
-            blocked = False
-            for j in range(i):
-                if used[j]:
-                    continue
-                u = sylls[j][0]
-                if u == v or not (adj[u] >> v) & 1:
-                    blocked = True
-                    break
-            if not blocked and (best < 0 or v < sylls[best][0]):
-                best = i
-        used[best] = True
-        out.append(sylls[best])
+    while rest:
+        free = [i for i, (v, _) in enumerate(rest)
+                if all(u != v and (adj[u] >> v) & 1 for u, _ in rest[:i])]
+        out.append(rest.pop(min(free, key=lambda i: rest[i][0])))
     return out
 
 
@@ -731,29 +722,15 @@ def _canon(orders, adj, colors):
     classes = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
-    target = None
-    for c in sorted(classes):
-        if len(classes[c]) > 1:
-            target = classes[c]
-            break
+    target = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
     if target is None:
         perm = sorted(range(n), key=lambda i: colors[i])
-        bits = 0
-        k = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if (adj[perm[a]] >> perm[b]) & 1:
-                    bits |= 1 << k
-                k += 1
+        bits = sum(1 << k for k, (a, b) in enumerate(combinations(perm, 2))
+                   if (adj[a] >> b) & 1)
         return tuple(orders[p] for p in perm), bits
-    best = None
-    for i in target:
-        branched = list(colors)
-        branched[i] = -1  # individualize: forced least colour
-        key = _canon(orders, adj, branched)
-        if best is None or key < best:
-            best = key
-    return best
+    # individualize each vertex of the target cell: forced least colour
+    return min(_canon(orders, adj, [-1 if j == i else c for j, c in enumerate(colors)])
+               for i in target)
 
 
 def brute_canonical_key(s):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 from graphprod import relhyp
@@ -67,6 +67,16 @@ def test_jinf_contract_and_idempotence(corpus_graphs, random_graphs_9):
         assert (per.status == "hyperbolic") == is_hyperbolic(g)
 
 
+def test_step_joins_members_not_their_union():
+    # no edges: {a, b, c} and {b, c, d} share the non-adjacent pair {b, c};
+    # {a, d, e} meets each of them in one vertex, so it stays apart, though
+    # it meets their union in the non-adjacent pair {a, d}
+    g = SimplicialGraph("E5", list("abcde"), [])
+    abc, bcd, ade = (g.subset(s).mask for s in ("abc", "bcd", "ade"))
+    for order in permutations([abc, bcd, ade]):
+        assert relhyp._step(g, list(order)) == sorted([abc | bcd, ade])
+
+
 def test_jinf_matches_bruteforce(corpus_graphs, random_graphs_9):
     rng = random.Random(4711)
     sparse = []
@@ -75,7 +85,16 @@ def test_jinf_matches_bruteforce(corpus_graphs, random_graphs_9):
         verts = [f"v{i}" for i in range(n)]
         sparse.append(SimplicialGraph(f"S{k}", verts, [
             e for e in combinations(verts, 2) if rng.random() < 3 / n]))
-    for g in list(corpus_graphs.values()) + random_graphs_9 + sparse:
+    # on a few of these a step's union meets a member in a non-adjacent pair
+    # that no single member of the union shares with it
+    medium = []
+    for k in range(150):
+        n = rng.randint(11, 14)
+        p = rng.uniform(0.3, 0.5)
+        verts = [f"v{i}" for i in range(n)]
+        medium.append(SimplicialGraph(f"M{k}", verts, [
+            e for e in combinations(verts, 2) if rng.random() < p]))
+    for g in list(corpus_graphs.values()) + random_graphs_9 + sparse + medium:
         per = jinf(g)
         members, iterations = brute_jinf(g)
         assert {m.members for m in per.members} == members

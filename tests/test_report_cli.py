@@ -35,7 +35,12 @@ from graphprod.squares import (
     morse_all_hyperbolic,
 )
 
-from oracles import RowSquareCore, brute_join_split_exists, make_random_graph
+from oracles import (
+    RowSquareCore,
+    brute_join_split_exists,
+    make_random_graph,
+    pair_components,
+)
 
 SQ4_O3 = """\
 graph SQ4O3
@@ -202,24 +207,17 @@ def test_analyze_computes_square_data_once(monkeypatch, corpus_graphs):
 
 def _square_components(g):
     """Number of components of the squares of g, two squares joined when
-    they share a non-adjacent vertex pair (a diagonal)."""
-    squares = [q.members for q in induced_squares(g)]
-    comp = list(range(len(squares)))
-    for i, j in combinations(range(len(squares)), 2):
-        shared = squares[i] & squares[j]
-        if any(not g.adjacent(u, v) for u, v in combinations(sorted(shared), 2)):
-            old, new = comp[i], comp[j]
-            comp = [new if c == old else c for c in comp]
-    return len(set(comp))
+    they share a non-adjacent vertex pair (a diagonal), by the oracle."""
+    return len(pair_components(g, [q.mask for q in induced_squares(g)])[1])
 
 
 def test_analyze_closes_each_square_component_once(monkeypatch):
-    import graphprod.graphs
+    import graphprod.relhyp
     import graphprod.squares
 
     counts = Counter()
     _count_calls(monkeypatch, counts, graphprod.squares, "_close")
-    _count_calls(monkeypatch, counts, graphprod.graphs, "_merge_overlapping")
+    _count_calls(monkeypatch, counts, graphprod.relhyp, "_step")
     rng = random.Random(56)
     graphs = [parse_graph(corpus_text(name)) for name in CORPUS_NAMES]
     graphs += [make_random_graph(rng, 14, name=f"C{k}") for k in range(20)]
@@ -231,7 +229,7 @@ def test_analyze_closes_each_square_component_once(monkeypatch):
         assert counts["_close"] == components
         # the core's components are the first jinf step's merge; each
         # further jinf step merges its members once
-        assert counts["_merge_overlapping"] == rep.jinf_iterations
+        assert counts["_step"] == rep.jinf_iterations
         fewer += components < len(induced_squares(g))
     assert fewer >= 10
 
