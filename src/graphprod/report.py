@@ -41,14 +41,15 @@ from .isomorphism import (
 from .relhyp import jinf
 from .squares import (
     _core,
-    _morse_dichotomy,
+    _core_split,
     cfs_check,
     electrification_hyperbolic,
     is_hyperbolic,
     is_minsquare_graph,
     minsquare_subgraphs,
+    morse_all_hyperbolic,
 )
-from .graphs import _bits, clique_number, core_decomposition
+from .graphs import _bits, clique_number
 
 __all__ = ["AnalysisReport", "ComparisonVerdict", "analyze", "compare",
            "render_report", "render_comparison"]
@@ -218,8 +219,8 @@ class AnalysisReport:
 
 def analyze(g):
     per = jinf(g)
-    n_squares = _core(g).n_squares
-    core = core_decomposition(g.full_set())
+    sq = _core(g)
+    n_squares = sq.n_squares
     return AnalysisReport(
         graph_name=g.name,
         n_vertices=g.n,
@@ -228,14 +229,14 @@ def analyze(g):
         square_free=n_squares == 0,
         hyperbolic=is_hyperbolic(g),
         # is_essential's test: no vertex is adjacent to all the others
-        essential=not core[1].mask,
-        core=core,
+        essential=not sq.universal,
+        core=_core_split(g),
         n_induced_squares=n_squares,
         minsquare_subgraphs=minsquare_subgraphs(g),
         is_minsquare_graph=is_minsquare_graph(g),
         cfs=cfs_check(g),
         electrification=electrification_hyperbolic(g),
-        morse=_morse_dichotomy(g, core),
+        morse=morse_all_hyperbolic(g),
         jinf_members=per.members,
         jinf_iterations=per.iterations,
         rh_status=per.status,

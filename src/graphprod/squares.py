@@ -78,7 +78,6 @@ from .graphs import (
     _set_from_mask,
     _square_pairs,
     _universal,
-    core_decomposition,
 )
 
 __all__ = [
@@ -136,6 +135,8 @@ class _SquareCore:
     electrification_hyperbolic
               every component's closure is minimal, so every square lies
               in a minsquare subgraph (see electrification_hyperbolic)
+    universal mask of the vertices adjacent to every other vertex, the
+              complete factor of the core decomposition
     join_form the non-universal vertices form a minsquare subgraph: the
               graph has a square and splits as the join of a minsquare
               subgraph and a complete graph (see morse_all_hyperbolic)
@@ -145,8 +146,8 @@ class _SquareCore:
     """
 
     __slots__ = ("pairs", "partners", "n_squares", "unions", "closures",
-                 "minimal", "electrification_hyperbolic", "join_form",
-                 "sc_order2_square")
+                 "minimal", "electrification_hyperbolic", "universal",
+                 "join_form", "sc_order2_square")
 
     def __init__(self, g):
         adj = g._adj_bits
@@ -158,9 +159,9 @@ class _SquareCore:
                              if not any(o != c and o & ~c == 0 for o in closures))
         # the minimal closures are among the distinct closures
         self.electrification_hyperbolic = len(self.minimal) == len(closures)
-        # a square-free graph has no minimal closure, so its degrees are not read
         full = (1 << g.n) - 1
-        self.join_form = bool(self.minimal) and (full & ~_universal(g, full)) in self.minimal
+        self.universal = _universal(g, full)
+        self.join_form = (full & ~self.universal) in self.minimal
         orders = g._orders_ix
         self.sc_order2_square = any(
             u.bit_count() == 4 and c == u and all(orders[i] == 2 for i in _bits(u))
@@ -320,23 +321,26 @@ def morse_all_hyperbolic(g):
     The join test uses the canonical core decomposition: peel off the
     universal vertices (always a complete join factor) and ask whether the
     remainder is a minsquare subgraph.  No minsquare subgraph contains a
-    universal vertex, so this is equivalent to the existential form.
+    universal vertex, so this is equivalent to the existential form.  The
+    square core holds the verdict (join_form).
     """
-    return _morse_dichotomy(g, core_decomposition(g.full_set()))
-
-
-def _morse_dichotomy(g, split):
-    """`morse_all_hyperbolic` given the core decomposition (lambda0, lambda1)
-    of the whole vertex set, which the certificate shows; the verdict is
-    the square core's join_form."""
     if is_hyperbolic(g):
         return MorseDichotomy(True, "square-free")
+    split = _core_split(g)
     if _core(g).join_form:
         return MorseDichotomy(True, split)
     lam0, lam1 = split
     return MorseDichotomy(
         False,
         f"core {lam0!r} is not a minsquare subgraph (complete factor {lam1!r})")
+
+
+def _core_split(g):
+    """`graphs.core_decomposition` of the whole vertex set, read from the
+    universal mask of the square core instead of computed again."""
+    universal = _core(g).universal
+    return (_set_from_mask(g, ((1 << g.n) - 1) & ~universal),
+            _set_from_mask(g, universal))
 
 
 def cfs_check(g):

@@ -4,7 +4,7 @@ import pytest
 
 from graphprod import build_ball, corpus
 
-from oracles import make_random_graph
+from references import make_random_graph
 
 
 @pytest.fixture(scope="session")

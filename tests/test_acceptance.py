@@ -31,11 +31,8 @@ from graphprod.squares import (
 )
 from graphprod.words import invert, multiply, project_to_parabolic
 
-from oracles import (
-    brute_join_split_exists,
-    brute_minsquare,
-    edge_class_partition,
-)
+from oracles import brute_minsquare
+from references import brute_join_split_exists, edge_class_partition
 
 
 def _report(num, name, ok):

@@ -14,7 +14,7 @@ from graphprod.geometry import build_ball, hyperplane_of_edge
 from graphprod.graphs import star
 from graphprod.words import Word, head, invert, multiply, reduce_word
 
-from oracles import make_random_graph
+from references import make_random_graph
 
 
 def shuffle_class(g, sylls):

@@ -36,14 +36,14 @@ from graphprod.words import (
     reduce_word,
 )
 
-from oracles import (
+from oracles import growth_counts
+from references import (
     brute_ball,
     brute_cone_edges,
     brute_edge_hyperplanes,
     brute_is_isometric,
     brute_separating_hyperplanes,
     edge_class_partition,
-    growth_counts,
     make_random_graph,
 )
 
@@ -549,6 +549,8 @@ def test_transverse_examples(corpus_graphs, balls3):
         # carrier coset c a c <star(a)> keeps every edge outside radius 3
         far = hyperplane_of_edge(rw(sq4, "c a c"), "a")
         transverse(ja, far, ball)
+    with pytest.raises(ValueError, match="has no edge inside the ball"):
+        transverse(far, ja, ball)
 
 
 def test_transverse_labels_adjacent(balls3):
@@ -587,6 +589,8 @@ def test_flat_grid_preconditions(corpus_graphs):
     c5 = corpus_graphs["C5"]
     with pytest.raises(ValueError):
         flat_witness(c5, ("a", "c"), ("b", "d"), 2)  # no square in C5
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        flat_witness(sq4, ("a", "c"), ("b", "d"), -1)
 
 
 def test_flat_grid_over_the_cap_builds_no_prefix(monkeypatch, corpus_graphs):

@@ -22,7 +22,7 @@ from graphprod.geometry import build_ball, flat_witness, separating_hyperplanes
 from graphprod.graphs import induced_squares, square_diagonals
 from graphprod.words import format_word
 
-from oracles import make_random_graph
+from references import make_random_graph
 
 EXPECTED = "197c6b2e4a6e27b887dea709d8307450dfbf99a2cc4dfcc01668c53b5948d811"
 

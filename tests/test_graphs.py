@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from graphprod.corpus import corpus_text
 from graphprod.graphs import (
     _universal,
     GGParseError,
@@ -20,7 +21,8 @@ from graphprod.graphs import (
     star,
 )
 
-from oracles import brute_clique_number, brute_squares, make_random_graph
+from oracles import brute_squares
+from references import brute_clique_number, make_random_graph
 
 
 # --- parsing ----------------------------------------------------------------
@@ -36,6 +38,11 @@ edge b c
 edge c d
 edge d a
 """
+
+
+def test_corpus_text_rejects_unknown_name():
+    with pytest.raises(KeyError, match="no corpus graph named 'NOPE'"):
+        corpus_text("NOPE")
 
 
 def test_parse_basic(corpus_graphs):
@@ -67,6 +74,10 @@ def test_parse_comments_and_blank_lines():
     ("graph A\ngraph B", "duplicate graph", 2),
     ("vertex a\ngraph B", "must come first", 2),
     ("vertex 1bad", "invalid vertex", 1),
+    ("graph", "expected: graph NAME", 1),
+    ("graph 1X", "invalid graph name", 1),
+    ("vertex", "expected: vertex ID", 1),
+    ("vertex a\nedge a", "expected: edge ID ID", 2),
 ])
 def test_parse_errors(src, fragment, line):
     with pytest.raises(GGParseError) as exc:
@@ -96,6 +107,14 @@ def test_constructor_rejects_bad_input():
         SimplicialGraph("G", ["a"], [("a", "a")])
     with pytest.raises(ValueError):
         SimplicialGraph("G", ["a", "b"], orders={"a": 1})
+    with pytest.raises(ValueError, match="invalid graph name"):
+        SimplicialGraph("1G", ["a"])
+    with pytest.raises(ValueError, match="invalid vertex identifier"):
+        SimplicialGraph("G", ["a", "1b"])
+    with pytest.raises(ValueError, match="order given for unknown vertex 'b'"):
+        SimplicialGraph("G", ["a"], orders={"b": 3})
+    with pytest.raises(ValueError, match="edge endpoint 'b' undeclared"):
+        SimplicialGraph("G", ["a"], [("a", "b")])
 
 
 def test_graph_is_immutable(corpus_graphs):

@@ -10,7 +10,7 @@ from graphprod.isomorphism import MAX_EXACT_VERTICES, canonical_key
 from graphprod.relhyp import jinf
 from graphprod.squares import minsquare_subgraphs
 
-from oracles import brute_canonical_key, make_random_graph
+from references import brute_canonical_key, make_random_graph
 
 
 def complete_bipartite(m, n):
@@ -73,6 +73,8 @@ def test_canonical_key_matches_brute_oracle():
     pieces += sparse
     for p in pieces:
         assert canonical_key(p) == brute_canonical_key(p), p
+    with pytest.raises(ValueError, match="piece too large"):
+        canonical_key(edgeless(MAX_EXACT_VERTICES + 1).full_set())
 
 
 # --- the factorial cliff --------------------------------------------------------

@@ -1,5 +1,5 @@
 """Known quasi-isometric pairs: a graph product and the kernel of one of its
-retractions onto a vertex group (`oracles.retraction_kernel`), a subgroup of
+retractions onto a vertex group (`references.retraction_kernel`), a subgroup of
 finite index that is again a graph product.  No invariant that `compare`
 calls transported by quasi-isometry may tell such a pair apart.
 
@@ -16,7 +16,7 @@ from graphprod.report import compare
 from graphprod.squares import _core, is_hyperbolic
 from graphprod.words import identity
 
-from oracles import retraction_kernel, retraction_kernel_images
+from references import retraction_kernel, retraction_kernel_images
 
 PIECE_TYPES = {"minsquare_types", "jinf_types"}
 MAX_KERNEL = 16

@@ -7,7 +7,7 @@ from graphprod.graphs import SimplicialGraph, induced_squares, is_complete, link
 from graphprod.relhyp import cp, jinf
 from graphprod.squares import is_hyperbolic, minsquare_subgraphs
 
-from oracles import brute_jinf
+from references import brute_jinf
 
 
 def test_cp_examples(corpus_graphs):

@@ -35,7 +35,7 @@ from graphprod.squares import (
     morse_all_hyperbolic,
 )
 
-from oracles import (
+from references import (
     RowSquareCore,
     brute_join_split_exists,
     make_random_graph,
@@ -185,6 +185,7 @@ def test_analyze_computes_square_data_once(monkeypatch, corpus_graphs):
     _count_calls(monkeypatch, counts, graphprod.graphs, "induced_squares")
     _count_calls(monkeypatch, counts, graphprod.squares, "square_complete_closure")
     _count_calls(monkeypatch, counts, graphprod.graphs, "_list_squares")
+    _count_calls(monkeypatch, counts, graphprod.graphs, "_universal")
     rng = random.Random(55)
     graphs = [parse_graph(corpus_text(name)) for name in CORPUS_NAMES]
     graphs += [make_random_graph(rng, 12, name=f"C{k}") for k in range(20)]
@@ -193,14 +194,16 @@ def test_analyze_computes_square_data_once(monkeypatch, corpus_graphs):
         counts.clear()
         rep = analyze(g)
         compare(g, g)
-        # one pair table, shared by analyze and compare; no traced closure,
-        # and squares listed only as the uncovered squares analyze reports
+        # one pair table and one universal mask, shared by analyze and
+        # compare; no traced closure, and squares listed only as the
+        # uncovered squares analyze reports
         listed = bool(rep.electrification.uncovered)
-        assert counts == Counter({"_square_pairs": 1, "_list_squares": listed})
+        assert counts == Counter({"_square_pairs": 1, "_universal": 1,
+                                  "_list_squares": listed})
         copy = pickle.loads(pickle.dumps(g))
         counts.clear()
         compare(copy, copy)
-        assert counts == Counter({"_square_pairs": 1})
+        assert counts == Counter({"_square_pairs": 1, "_universal": 1})
         uncovered += listed
     assert uncovered >= 1
 
@@ -576,6 +579,9 @@ def test_cli_distance(corpus_files, capsys):
     assert main(["distance", corpus_files["SQ4"],
                  "--from", "e", "--to", "a c a c"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+    assert main(["distance", corpus_files["EDGEW"], "--from", "e",
+                 "--to", "w c w", "--electrified", "--radius", "3"]) == 0
+    assert capsys.readouterr().out == "3 (radius 3)\n"
 
 
 def test_cli_distance_electrified_needs_radius(corpus_files, capsys):
@@ -588,6 +594,10 @@ def test_cli_ball(corpus_files, capsys):
     assert main(["ball", corpus_files["SQ4"], "--radius", "2",
                  "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "13"
+    assert main(["ball", corpus_files["SQ4"], "--radius", "1",
+                 "--electrified"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "vertices 5 edges 4 cone_edges 10", "e", "a", "b", "c", "d"]
 
 
 def test_cli_ball_cap_exit_code(corpus_files, capsys):
@@ -661,6 +671,9 @@ def test_cli_flat(corpus_files, capsys):
                  "--diag2", "b,d", "--size", "2"]) == 0
     out = capsys.readouterr().out
     assert "isometric: True" in out
+    assert main(["flat", corpus_files["SQ4"], "--diag1", "a",
+                 "--diag2", "b,d", "--size", "2"]) == 1
+    assert "expected a pair u,v" in _one_line_error(capsys)
 
 
 def test_cli_flat_over_the_cap_exit_1(corpus_files, capsys):

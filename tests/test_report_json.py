@@ -1,5 +1,5 @@
 """The hand-written `analyze` and `compare` JSON against the serializer it
-replaced: the dicts in `oracles.report_dict` / `oracles.verdict_dict` passed
+replaced: the dicts in `references.report_dict` / `references.verdict_dict` passed
 through `json.dumps(indent=2, sort_keys=True)`.  The bytes must be equal and
 `to_dict()` must parse back to the oracle dict."""
 
@@ -9,7 +9,7 @@ from graphprod.corpus import CORPUS_NAMES, load
 from graphprod.graphs import SimplicialGraph
 from graphprod.report import ComparisonVerdict, analyze, compare
 
-from oracles import report_dict, verdict_dict
+from references import report_dict, verdict_dict
 from test_output_digest import digest_graphs
 
 

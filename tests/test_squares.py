@@ -23,15 +23,8 @@ from graphprod.squares import (
     square_complete_closure,
 )
 
-from oracles import (
-    RowSquareCore,
-    brute_closure,
-    brute_is_square_complete,
-    brute_minsquare,
-    brute_squares,
-    make_random_graph,
-    row_closure,
-)
+from oracles import brute_is_square_complete, brute_minsquare, brute_squares
+from references import RowSquareCore, brute_closure, make_random_graph, row_closure
 
 
 def test_is_square_complete_examples(corpus_graphs):

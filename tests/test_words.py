@@ -17,6 +17,7 @@ from graphprod.words import (
     _split_suffix,
     WordParseError,
     format_word,
+    generator,
     head,
     identity,
     invert,
@@ -28,7 +29,7 @@ from graphprod.words import (
     strip_suffix,
 )
 
-from oracles import brute_canonical, brute_reduce, brute_split_suffix, make_random_graph
+from references import brute_canonical, brute_reduce, brute_split_suffix, make_random_graph
 
 
 def rw(g, text):
@@ -69,6 +70,8 @@ def test_reduce_examples(corpus_graphs):
     assert rw(sq4, "a c a").length == 3
     v3 = parse_graph("vertex v order=3")
     assert format_word(rw(v3, "v^1 v^1")) == "v^2"
+    assert generator(sq4, "b") == reduce_word(Word(sq4, [("b", 1)]))
+    assert generator(v3, "v", 2) == reduce_word(Word(v3, [("v", 2)]))
 
 
 def test_reduce_zero_exponent_cancels(corpus_graphs):
@@ -185,6 +188,10 @@ def test_graph_mismatch_raises(corpus_graphs):
         head(identity(sq4), c5.full_set())
     with pytest.raises(GraphMismatchError):
         electrified_distance(identity(sq4), identity(c5), 1)
+    with pytest.raises(GraphMismatchError):
+        strip_suffix(identity(sq4), c5.full_set())
+    with pytest.raises(GraphMismatchError):
+        project_to_parabolic(identity(sq4), identity(sq4), c5.full_set())
 
 
 # --- membership, head, projection ---------------------------------------------------
