@@ -7,8 +7,9 @@ covers is a certificate of non-hyperbolicity.
 
 The second half reproduces how the bundled ELEC_FALSE graph was found: walk
 all graphs in a fixed enumeration order (vertex count ascending, then edge
-sets as ascending bitmasks over lexicographically ordered vertex pairs) and
-stop at the first uncovered square.
+sets as ascending bitmasks over lexicographically ordered vertex pairs),
+check each with `electrification_hyperbolic` and stop at the first graph
+with an uncovered square.
 """
 
 import time
@@ -36,71 +37,27 @@ for r in (8, 9, 10):
 print("  (w-edge, one cone edge across the flat coset, w-edge)\n")
 
 
-def squares_bitmask(n, adj):
-    out = []
-    for q in combinations(range(n), 4):
-        a, b, c, d = q
-        for (p, q2, r, s) in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
-            if (adj[p] >> q2) & 1 or (adj[r] >> s) & 1:
-                continue
-            if ((adj[r] >> p) & 1 and (adj[s] >> p) & 1
-                    and (adj[r] >> q2) & 1 and (adj[s] >> q2) & 1):
-                out.append(((1 << p) | (1 << q2) | (1 << r) | (1 << s),
-                            (1 << p) | (1 << q2), (1 << r) | (1 << s)))
-                break
-    return out
-
-
-def has_uncovered_square(n, adj):
-    sqs = squares_bitmask(n, adj)
-    if len(sqs) < 2:
-        return False
-    closures = set()
-    for smask, _, _ in sqs:
-        cur = smask
-        changed = True
-        while changed:
-            changed = False
-            for om, o1, o2 in sqs:
-                if om & ~cur and ((o1 & ~cur) == 0 or (o2 & ~cur) == 0):
-                    cur |= om
-                    changed = True
-        closures.add(cur)
-    cl = sorted(closures)
-    minimal = [c for c in cl if not any(o != c and o & ~c == 0 for o in cl)]
-    return any(not any((smask & ~m) == 0 for m in minimal)
-               for smask, _, _ in sqs)
-
-
 print("searching for the first graph with an uncovered square ...")
 t0 = time.time()
 found = None
 for n in range(4, 8):
-    pairs = list(combinations(range(n), 2))
+    names = "abcdefg"[:n]
+    pairs = list(combinations(names, 2))
     for mask in range(1 << len(pairs)):
-        if mask.bit_count() < 6:
+        if mask.bit_count() < 6:  # at most one square, which is covered
             continue
-        adj = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if has_uncovered_square(n, adj):
-            found = (n, mask, pairs)
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        g = SimplicialGraph("FOUND", names, edges)
+        if not electrification_hyperbolic(g).hyperbolic:
+            found = (n, mask, g)
             break
     if found:
         break
     print(f"  no witness on {n} vertices")
 
-n, mask, pairs = found
-names = "abcdefgh"[:n]
-edges = [(names[u], names[v]) for k, (u, v) in enumerate(pairs) if (mask >> k) & 1]
+n, mask, g = found
 print(f"  first witness: {n} vertices, edge mask {mask} "
       f"({time.time() - t0:.1f}s)")
-g = SimplicialGraph("FOUND", names, edges)
 
 frozen = corpus.load("ELEC_FALSE")
 assert set(g.edges) == set(frozen.edges), "frozen corpus graph drifted"

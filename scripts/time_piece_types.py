@@ -4,23 +4,38 @@
 
 Rounds 0 .. R-1 of the `analyze_sparse` and `analyze_dense` workloads
 (`perfbench/workloads.py`, seed S) give the graph pairs.  Each pair is parsed
-afresh and compared; `report._piece_types` (building the piece shapes,
+afresh and compared; `isomorphism._piece_types` (building the piece shapes,
 normalising and searching them, counting the classes) is timed around its
-two calls per `compare`, and the `canonical_key` searches are counted.  The
-best of N runs of the mean time per `compare` is printed with the searches
-per `compare`.
+one call per `compare`, and the shapes built (`_piece`), the normal shapes
+(`_normal`) and the searches (`canonical_key`) are counted.  The best of N
+runs of the mean time per `compare` is printed with the counts per
+`compare`.
 """
 
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
+import graphprod.isomorphism as isomorphism
 import graphprod.report as report
 from graphprod.graphs import parse_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("analyze_sparse", "analyze_dense")
+COUNTED = ("_piece", "_normal", "canonical_key")
+
+
+def patch(name, wrap):
+    """Replace isomorphism.name by wrap(original) in every graphprod module
+    that binds it, so the calls from other modules are seen too."""
+    orig = getattr(isomorphism, name)
+    new = wrap(orig)
+    for m in list(sys.modules.values()):
+        if getattr(m, "__name__", "").startswith("graphprod") \
+                and getattr(m, name, None) is orig:
+            setattr(m, name, new)
 
 
 def main():
@@ -33,33 +48,44 @@ def main():
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
     import workloads
 
-    spent, searches = [0.0], [0]
-    piece_types, canonical_key = report._piece_types, report.canonical_key
+    spent, counts = [0.0], Counter()
 
-    def timed(*a):
-        start = time.perf_counter()
-        try:
-            return piece_types(*a)
-        finally:
-            spent[0] += time.perf_counter() - start
+    def timed(f):
+        def run(*a):
+            start = time.perf_counter()
+            try:
+                return f(*a)
+            finally:
+                spent[0] += time.perf_counter() - start
+        return run
 
-    def counted(*a):
-        searches[0] += 1
-        return canonical_key(*a)
+    def counted(name):
+        def wrap(f):
+            def run(*a):
+                counts[name] += 1
+                return f(*a)
+            return run
+        return wrap
 
-    report._piece_types, report.canonical_key = timed, counted
+    patch("_piece_types", timed)
+    for name in COUNTED:
+        patch(name, counted(name))
     for workload in WORKLOADS:
         pairs = [p.texts for k in range(args.rounds)
                  for p in workloads.analyze_round(workload, args.seed, k)]
         best = float("inf")
         for _ in range(args.repeat):
-            spent[0], searches[0] = 0.0, 0
+            spent[0] = 0.0
+            counts.clear()
             for texts in pairs:
                 report.compare(*map(parse_graph, texts))
             best = min(best, spent[0] / len(pairs))
-        print(f"{workload:<15} {len(pairs):>4} compares  "
+        n = len(pairs)
+        print(f"{workload:<15} {n:>4} compares  "
               f"_piece_types {best * 1e6:7.1f} us/compare  "
-              f"{searches[0] / len(pairs):6.2f} searches/compare")
+              f"{counts['_piece'] / n:6.2f} shapes  "
+              f"{counts['_normal'] / n:6.2f} normal shapes  "
+              f"{counts['canonical_key'] / n:6.2f} searches per compare")
 
 
 if __name__ == "__main__":

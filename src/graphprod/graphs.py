@@ -383,8 +383,8 @@ def _bits(mask):
 
 # Graphs up to this many vertices list their squares in lexicographic order
 # of the sorted index 4-tuple, larger ones in ascending mask order.  The two
-# orders differ; both are kept because the order shows in `analyze` output
-# (uncovered squares) and in closure traces.
+# orders differ; both are kept because the order shows in `induced_squares`
+# and in the uncovered squares of `analyze` output.
 _LEX_ORDER_MAX_N = 16
 
 

@@ -18,12 +18,27 @@ declaration order).  Every formula here is written once on the shape:
   vertices.
 
 `fingerprint(s)`, `piece_label(s)` and `canonical_key(s)` apply them to a
-vertex set.  `report.compare` builds each piece's shape once, normalises
-only the shapes whose fingerprint another shape shares, and searches only
-the normal shapes whose fingerprint another normal shape shares.  Equal
-normal shapes are relabellings of isomorphic pieces, and the canonical key
-does not change under relabelling, so the classes come out as if every
-shape were searched.
+vertex set.
+
+`_piece_types` is the one place that decides when two compared pieces are
+of one type.  Per invariant it climbs the ladder only where the rung below
+leaves a tie:
+
+- a fingerprint held by one shape of the invariant is one class by itself;
+- shapes that share a fingerprint are normalised; equal normal shapes are
+  relabellings of one type, so a fingerprint whose shapes have one normal
+  shape is one class too;
+- where a fingerprint holds several normal shapes, each normal shape is
+  searched; the canonical key does not change under relabelling, so the
+  normal shape's key is the shape's.
+
+A piece's class key is (fingerprint, canonical key or None), so two pieces
+of an invariant get equal keys iff they are isomorphic, as if every shape
+were searched.  When a piece on either side has more than
+MAX_EXACT_VERTICES vertices, every piece of the invariant is keyed
+(fingerprint, None): classes of equal fingerprints, sound but coarser.  One
+call builds each distinct piece's shape once, and normalises and searches
+each shape at most once, over all its invariants.
 
 The exact key is the minimum leaf of an individualization-refinement search
 tree (McKay & Piperno, *Practical graph isomorphism II*, J. Symbolic Comput.
@@ -53,6 +68,8 @@ factorial search to a few hundred refinements (K6,6: 156; the edgeless
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .graphs import _bits
 
@@ -207,7 +224,8 @@ def _canon(orders, adj):
 def canonical_key(s, shape=None):
     """Exact isomorphism key of the induced subgraph with order labels, for
     pieces of at most MAX_EXACT_VERTICES vertices (ValueError above that).
-    `shape` is `_piece(s)` when the caller has already built it."""
+    `shape`, when given, is `_piece(s)` or any relabelling of it, such as its
+    normal shape: every relabelling gets the same key."""
     orders, adj = _piece(s) if shape is None else shape
     if len(orders) > MAX_EXACT_VERTICES:
         raise ValueError(f"piece too large for exact canonical labeling "
@@ -237,3 +255,52 @@ def fingerprint(s):
 def piece_label(s):
     """Short human-readable tag for a piece, stable across runs."""
     return _label(_fingerprint(_piece(s)))
+
+
+def _piece_types(invariants):
+    """The pieces of each invariant sorted into isomorphism classes with
+    order labels, as the module docstring says.  `invariants` holds each
+    invariant's two piece lists.  The result holds, per invariant,
+    (exact, side a, side b): `exact` is unset when the pieces were keyed by
+    fingerprint alone, and each side is (Counter over class keys, display
+    string).  A class is shown as "k x label"; the label is read off the
+    fingerprint, so it is the same for every piece of the class."""
+    built, normals, keys = {}, {}, {}   # shared by the invariants
+    out = []
+    for sides in invariants:
+        exact = all(len(p) <= MAX_EXACT_VERTICES for side in sides for p in side)
+        rows = []
+        groups = {}   # fingerprint -> {shape: a piece of that shape}
+        for side in sides:
+            row = []
+            for p in side:
+                got = built.get((p.graph, p.mask))
+                if got is None:
+                    shape = _piece(p)
+                    got = built[p.graph, p.mask] = shape, _fingerprint(shape)
+                row.append(got)
+                groups.setdefault(got[1], {}).setdefault(got[0], p)
+            rows.append(row)
+        searched = {}  # shape -> canonical key, where a fingerprint holds several types
+        if exact:
+            for group in groups.values():
+                if len(group) == 1:
+                    continue
+                for shape in group:
+                    if shape not in normals:
+                        normals[shape] = _normal(shape)
+                if len({normals[shape] for shape in group}) == 1:
+                    continue
+                for shape, p in group.items():
+                    normal = normals[shape]
+                    k = keys.get(normal)
+                    if k is None:
+                        k = keys[normal] = canonical_key(p, normal)
+                    searched[shape] = k
+        typed = []
+        for row in rows:
+            counter = Counter((fp, searched.get(shape)) for shape, fp in row)
+            shown = sorted(f"{n} x {_label(fp)}" for (fp, _), n in counter.items())
+            typed.append((counter, "; ".join(shown) or "(none)"))
+        out.append((exact, *typed))
+    return out

@@ -10,34 +10,18 @@ finer than quasi-isometry, so two quasi-isometric groups can have pieces of
 different types, and a verdict that rests only on `minsquare_types` or
 `jinf_types` proves nothing (the note `_FOOTNOTE` says so in every verdict).
 Matching on all counts is reported as "inconclusive", never as a positive
-quasi-isometry claim.
-
-The piece types are compared as multisets of isomorphism classes, taken over
-both graphs together (`_piece_types`): each distinct piece's local shape is
-built once per comparison.  A degree/order fingerprint held by one shape is
-one class by itself.  The shapes that share a fingerprint are relabelled in
-breadth-first order (`isomorphism._normal`); equal normal shapes are
-relabellings of one piece type, so a fingerprint whose shapes have one
-normal shape is one class too, and the canonical-labelling search runs only
-for the normal shapes of fingerprints that hold several.
+quasi-isometry claim.  The `graphprod.isomorphism` module docstring says
+how pieces are sorted into types.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from json import loads
 from json.encoder import encode_basestring_ascii as _str
 
 from . import __version__
-from .isomorphism import (
-    MAX_EXACT_VERTICES,
-    _fingerprint,
-    _label,
-    _normal,
-    _piece,
-    canonical_key,
-)
+from .isomorphism import MAX_EXACT_VERTICES, _piece_types
 from .relhyp import jinf
 from .squares import (
     _core,
@@ -307,67 +291,6 @@ class ComparisonVerdict:
         return loads(self.to_json())
 
 
-def _piece_types(sides, built, normals, keys, exact):
-    """The pieces of the sides sorted into isomorphism classes with order
-    labels: per side, (Counter over class keys, display string).
-
-    A piece's class key is (fingerprint, None) when the shapes with its
-    fingerprint, over all sides, have one normal shape between them, and
-    (fingerprint, canonical key) when they have several.  These keys are
-    exact.  The fingerprint is an isomorphism invariant, and two shapes
-    with equal normal shapes are relabellings of one piece type, so a
-    fingerprint whose shapes have one normal shape is held by one
-    isomorphism class; where they have several, the canonical key splits
-    them into their classes, and it does not change under relabelling, so
-    searching the normal shape gives the key of the shape.  So two pieces
-    get equal keys iff they are isomorphic, and the Counters of two sides
-    are equal iff their multisets of isomorphism types are.  When `exact`
-    is unset (a piece above MAX_EXACT_VERTICES), every key is
-    (fingerprint, None): classes of equal fingerprints, sound but coarser.
-    A class is shown as "k x label"; the label is read off the fingerprint,
-    so it is the same for every piece of the class.
-
-    `built` maps (graph, mask) to (shape, fingerprint), `normals` a shape
-    to its normal shape and `keys` a normal shape to its canonical key; the
-    caller keeps all three for one comparison, so each piece's shape is
-    built once, each shape normalised at most once and each normal shape
-    searched at most once."""
-    rows = []
-    groups = {}   # fingerprint -> {shape: a piece of that shape}
-    for side in sides:
-        row = []
-        for p in side:
-            got = built.get((p.graph, p.mask))
-            if got is None:
-                shape = _piece(p)
-                got = built[p.graph, p.mask] = shape, _fingerprint(shape)
-            row.append(got)
-            groups.setdefault(got[1], {}).setdefault(got[0], p)
-        rows.append(row)
-    searched = {}  # shape -> canonical key, where a fingerprint holds several types
-    if exact:
-        for group in groups.values():
-            if len(group) == 1:
-                continue
-            for shape in group:
-                if shape not in normals:
-                    normals[shape] = _normal(shape)
-            if len({normals[shape] for shape in group}) == 1:
-                continue
-            for shape, p in group.items():
-                normal = normals[shape]
-                k = keys.get(normal)
-                if k is None:
-                    k = keys[normal] = canonical_key(p, normal)
-                searched[shape] = k
-    out = []
-    for row in rows:
-        counter = Counter((fp, searched.get(shape)) for shape, fp in row)
-        shown = sorted(f"{n} x {_label(fp)}" for (fp, _), n in counter.items())
-        out.append((counter, "; ".join(shown) or "(none)"))
-    return out
-
-
 def compare(ga, gb):
     """Confront two graphs on the quasi-isometry invariants of their graph
     products.  A difference in any invariant distinguishes the groups;
@@ -396,14 +319,11 @@ def compare(ga, gb):
     if ea != eb:
         diffs.append(("electrification_hyperbolic", str(ea), str(eb)))
 
-    built, normals, keys = {}, {}, {}
-    for name, pieces_a, pieces_b in (
-            ("minsquare_types", minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
-            ("jinf_types", jinf(ga).members, jinf(gb).members)):
-        # a piece over the cap on either side: every piece of both sides is
-        # keyed by its fingerprint alone
-        exact = all(len(p) <= MAX_EXACT_VERTICES for p in (*pieces_a, *pieces_b))
-        (ca, da), (cb, db) = _piece_types((pieces_a, pieces_b), built, normals, keys, exact)
+    invariants = {
+        "minsquare_types": (minsquare_subgraphs(ga), minsquare_subgraphs(gb)),
+        "jinf_types": (jinf(ga).members, jinf(gb).members)}
+    for name, (exact, (ca, da), (cb, db)) in zip(
+            invariants, _piece_types(invariants.values())):
         if ca != cb:
             diffs.append((name, da, db))
         elif not exact:

@@ -10,6 +10,7 @@ from graphprod import geometry, words
 from graphprod.geometry import (
     DEFAULT_VERTEX_CAP,
     BallCapExceeded,
+    ElectrifiedDistance,
     FlatGrid,
     build_ball,
     electrified_distance,
@@ -672,6 +673,11 @@ def test_electrified_distance_examples(corpus_graphs):
     assert electrified_distance(x, x, 4).value == 0
     res = electrified_distance(x, y, 9)
     assert (res.value, res.radius) == (3, 9)
+    # equal to its value as an int, and to another distance only at the
+    # same radius
+    assert res == 3 and res != 2 and int(res) == 3
+    assert res == ElectrifiedDistance(3, 9) and res != ElectrifiedDistance(3, 8)
+    assert repr(res) == "ElectrifiedDistance(3, radius=9)"
 
 
 def test_electrified_distance_monotone_in_radius(corpus_graphs):

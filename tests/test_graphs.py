@@ -51,6 +51,8 @@ def test_parse_basic(corpus_graphs):
     assert g.vertices == ("a", "b", "c", "d")
     assert g.adjacent("a", "b") and not g.adjacent("a", "c")
     assert g == corpus_graphs["SQ4"]
+    assert g != "SQ4" and g != SQ4_SRC
+    assert repr(g) == "SimplicialGraph('SQ4', 4 vertices, 4 edges)"
 
 
 def test_parse_order_readback():
@@ -115,6 +117,8 @@ def test_constructor_rejects_bad_input():
         SimplicialGraph("G", ["a"], orders={"b": 3})
     with pytest.raises(ValueError, match="edge endpoint 'b' undeclared"):
         SimplicialGraph("G", ["a"], [("a", "b")])
+    with pytest.raises(ValueError, match="edge endpoint 'b' undeclared"):
+        SimplicialGraph("G", ["a"], [("b", "a")])
 
 
 def test_graph_is_immutable(corpus_graphs):

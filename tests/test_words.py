@@ -52,6 +52,12 @@ def test_parse_word(corpus_graphs):
         parse_word(sq4, "a^x")
     v3 = parse_graph("vertex v order=3")
     assert rw(v3, "v^2 v^2").sylls == ((0, 1),)
+    # unreduced words are equal and hash alike exactly when their syllables
+    # and graphs are
+    assert w == parse_word(sq4, "a b c") and hash(w) == hash(parse_word(sq4, "a b c"))
+    assert w != parse_word(sq4, "a c b") and w != "a b c"
+    assert w != parse_word(corpus_graphs["C5"], "a b c")
+    assert repr(w) == "Word('a b c')"
 
 
 def test_format_roundtrip(corpus_graphs):
@@ -192,6 +198,10 @@ def test_graph_mismatch_raises(corpus_graphs):
         strip_suffix(identity(sq4), c5.full_set())
     with pytest.raises(GraphMismatchError):
         project_to_parabolic(identity(sq4), identity(sq4), c5.full_set())
+    a, b = sq4.full_set(), c5.full_set()
+    for op in (a.union, a.intersection, a.difference, a.__le__):
+        with pytest.raises(GraphMismatchError):
+            op(b)
 
 
 # --- membership, head, projection ---------------------------------------------------
