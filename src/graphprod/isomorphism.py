@@ -3,7 +3,8 @@
 Pieces compared across two analyses (minsquare subgraphs, peripheral members)
 are matched up to isomorphism respecting the vertex-group orders.  A piece is
 read through its local shape (`_piece`: orders and adjacency bitmasks in
-declaration order).  Every formula here is written once on the shape:
+declaration order, a member's local index being the popcount of the piece
+mask below it).  Every formula here is written once on the shape:
 
 - **fingerprint** (`_fingerprint`): the sorted multiset of (order, degree)
   pairs, an isomorphism invariant that separates graphs soundly but cannot
@@ -80,17 +81,22 @@ MAX_EXACT_VERTICES = 12
 
 def _piece(s):
     """(orders, adjacency bitmasks) of the induced subgraph as tuples, local
-    index i being the i-th member in declaration order."""
+    index i being the i-th member in declaration order.  A member's local
+    index is the number of members below it, the popcount of the piece
+    mask below its bit."""
     g, mask = s.graph, s.mask
-    ix = tuple(_bits(mask))
-    local = {gi: li for li, gi in enumerate(ix)}
-    adj = []
+    adj = g._adj_bits
+    ix = _bits(mask)
+    local = []
     for gi in ix:
+        a = adj[gi] & mask
         bits = 0
-        for gj in _bits(g._adj_bits[gi] & mask):
-            bits |= 1 << local[gj]
-        adj.append(bits)
-    return tuple(g._orders_ix[gi] for gi in ix), tuple(adj)
+        while a:
+            low = a & -a
+            a ^= low
+            bits |= 1 << (mask & (low - 1)).bit_count()
+        local.append(bits)
+    return tuple(map(g._orders_ix.__getitem__, ix)), tuple(local)
 
 
 def _normal(shape):

@@ -152,7 +152,7 @@ class AnalysisReport:
         table of encoded vertex names; `orders` are the graph's."""
         lam0, lam1 = self.core
         g = lam0.graph
-        names = [_str(v) for v in g.vertices]
+        names = list(map(_str, g.vertices))
         orders = g._orders_ix
 
         cert = self.morse.certificate
@@ -165,7 +165,7 @@ class AnalysisReport:
             cert_json = _NO_JOIN_JSON % _str(str(cert))
         pieces = []
         for m in self.minsquare_subgraphs:
-            ix = list(_bits(m.mask))
+            ix = _bits(m.mask)
             pieces.append(_PIECE_JSON % (
                 _array([str(k) for k in sorted(orders[i] for i in ix)], _I3),
                 _array([names[i] for i in ix], _I3)))

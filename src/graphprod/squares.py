@@ -13,8 +13,11 @@ squares: a dense graph has about n^4 induced squares but fewer than n^2 / 2
 non-adjacent pairs.  For a non-adjacent pair P = {a, c}, let
 C(P) = N(a) & N(c), and let F(P) be the members of C(P) that have a
 non-neighbour in C(P).  P carries a square when F(P) is not empty; the
-core keeps F(P) for those pairs only, and reads everything else from six
-facts.
+core keeps F(P) for those pairs only, in one row per lower vertex of such
+a pair, and reads everything else from six facts.  A vertex that is the
+lower end of no such pair has no row, and on a sparse graph that is most
+vertices, so what walks the rows (the components, the closures, the
+uncovered squares) does not step through the others.
 
 1. The squares with diagonal P are the sets P | {b, d} over the
    non-adjacent pairs {b, d} inside C(P), and their union is P | F(P).
@@ -123,8 +126,10 @@ class MorseDichotomy(NamedTuple):
 class _SquareCore:
     """The square data of one graph, held by diagonal pairs as bitmasks.
 
-    pairs     per lower vertex x, a dict from z > x to F({x, z}), over the
-              non-adjacent pairs that carry a square (see _square_pairs)
+    pairs     a dict from each lower vertex x of a non-adjacent pair that
+              carries a square to its row, a dict from z > x to F({x, z})
+              over those pairs (see _square_pairs); most vertices of a
+              sparse graph have no row
     partners  per vertex, the mask of vertices it forms such a pair with
     n_squares number of induced squares
     unions    vertex mask of each component of the squares (fact 3)
@@ -150,15 +155,20 @@ class _SquareCore:
                  "join_form", "sc_order2_square")
 
     def __init__(self, g):
-        adj = g._adj_bits
-        self.pairs, self.partners, self.n_squares = _square_pairs(adj)
-        self.unions = _components(adj, self.pairs, self.partners)
+        self.pairs, self.partners, self.n_squares = _square_pairs(g)
+        self.unions = _components(g._adj_bits, self.pairs, self.partners)
         self.closures = [_close(self, u)[0] for u in self.unions]
-        closures = sorted(set(self.closures))
-        self.minimal = tuple(c for c in closures
-                             if not any(o != c and o & ~c == 0 for o in closures))
+        # taken by size, a closure that holds another holds a minimal one
+        # taken before it, and one that meets no minimal closure holds none
+        closures = set(self.closures)
+        minimal, covered = [], 0
+        for c in sorted(closures, key=int.bit_count):
+            if not c & covered or all(m & ~c for m in minimal):
+                minimal.append(c)
+                covered |= c
+        self.minimal = tuple(sorted(minimal))
         # the minimal closures are among the distinct closures
-        self.electrification_hyperbolic = len(self.minimal) == len(closures)
+        self.electrification_hyperbolic = len(minimal) == len(closures)
         full = (1 << g.n) - 1
         self.universal = _universal(g, full)
         self.join_form = (full & ~self.universal) in self.minimal
@@ -171,11 +181,14 @@ class _SquareCore:
 def _components(adj, pairs, partners):
     """The union masks of the components of the squares, found as the
     components of the pair graph of fact 3 by a depth-first search that
-    keeps, per lower vertex u, the mask of partners v > u whose pair is not
-    yet reached."""
-    unseen = [p & (-2 << u) for u, p in enumerate(partners)]
+    keeps, per lower vertex u with a row, the mask of partners v > u whose
+    pair is not yet reached.  A pair inside F(P) carries a square, so its
+    lower vertex has a row; the search reads only the members of F(P) that
+    have one."""
+    unseen = {x: partners[x] & (-2 << x) for x in pairs}
+    lowers = sum(1 << x for x in pairs)
     unions = []
-    for x in range(len(pairs)):
+    for x in pairs:
         while unseen[x]:
             low = unseen[x] & -unseen[x]
             unseen[x] ^= low
@@ -185,7 +198,7 @@ def _components(adj, pairs, partners):
                 a, c = stack.pop()
                 f = pairs[a][c]
                 union |= f
-                rest = f
+                rest = f & lowers
                 while rest:
                     b = rest & -rest
                     rest ^= b
@@ -307,7 +320,7 @@ def electrification_hyperbolic(g):
     for k, m in enumerate(core.minimal):
         for v in _bits(m):
             inside[v] |= 1 << k
-    pairs = [(x, z, f) for x, row in enumerate(core.pairs) for z, f in row.items()
+    pairs = [(x, z, f) for x, row in core.pairs.items() for z, f in row.items()
              if not inside[x] & inside[z]]
     uncovered = tuple(_set_from_mask(g, m) for m in _list_squares(g._adj_bits, pairs))
     return ElectrificationCheck(hyperbolic=False, uncovered=uncovered)

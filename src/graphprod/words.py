@@ -93,18 +93,19 @@ class Word:
 
 
 def parse_word(graph, text):
-    """Word syntax: whitespace-separated tokens ``v`` or ``v^k``; ``e``
-    stands for the empty word and may appear anywhere as a no-op."""
+    """Word syntax: whitespace-separated tokens ``v`` or ``v^k``, k written
+    in ASCII digits; ``e`` stands for the empty word and may appear anywhere
+    as a no-op."""
     sylls = []
     for tok in text.split():
         if tok == "e":
             continue
         if "^" in tok:
             v, _, exp = tok.partition("^")
-            try:
-                e = int(exp)
-            except ValueError:
-                raise WordParseError(f"bad exponent in token {tok!r}") from None
+            # int() would also take a sign, underscores and non-ASCII digits
+            if not (exp.isascii() and exp.isdigit()):
+                raise WordParseError(f"bad exponent in token {tok!r}")
+            e = int(exp)
         else:
             v, e = tok, 1
         try:

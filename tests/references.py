@@ -7,10 +7,11 @@ diagonal-pair core replaced), hyperplanes by union-find over ball edges and
 by one coset representative per edge or per syllable of a geodesic, flat
 grids by one product per pair of vertices, balls by multiplying every vertex
 by every generator, canonical normal forms by a greedy re-sort of the whole
-word, canonical graph keys by an individualization-refinement search with
-no pruning, the `analyze` and `compare` JSON by a dict for `json.dumps`, and
-finite-index subgroups by the Reidemeister-Schreier presentation of a
-retraction's kernel.
+word, set bits one lowest bit at a time, piece shapes through a dict of
+local indices, canonical graph keys by an individualization-refinement
+search with no pruning, the `analyze` and `compare` JSON by a dict for
+`json.dumps`, and finite-index subgroups by the Reidemeister-Schreier
+presentation of a retraction's kernel.
 
 The benchmark never imports this module: the checks it runs live in
 `oracles.py`, which stays small because the benchmark pays for its size in
@@ -571,6 +572,38 @@ def retraction_kernel_images(g, v):
         for k in range(n):
             out[f"{u}_{k}"] = reduce_word(Word(g, [(v, k), (u, 1), (v, -k % n)]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# bit decoding and piece shapes, one step per bit
+
+
+def lowest_bits(mask):
+    """Indices of the set bits of mask, ascending, found one lowest bit at
+    a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def dict_piece(s):
+    """(orders, adjacency bitmasks) of the induced subgraph as tuples, local
+    index i being the i-th member in declaration order, renumbered through
+    a dict from graph index to local index: the version of
+    `isomorphism._piece` that the popcount numbering replaced."""
+    g, mask = s.graph, s.mask
+    ix = tuple(lowest_bits(mask))
+    local = {gi: li for li, gi in enumerate(ix)}
+    adj = []
+    for gi in ix:
+        bits = 0
+        for gj in lowest_bits(g._adj_bits[gi] & mask):
+            bits |= 1 << local[gj]
+        adj.append(bits)
+    return tuple(g._orders_ix[gi] for gi in ix), tuple(adj)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from graphprod.corpus import corpus_text
 from graphprod.graphs import (
+    _bits,
     _universal,
     GGParseError,
     SimplicialGraph,
@@ -22,7 +23,7 @@ from graphprod.graphs import (
 )
 
 from oracles import brute_squares
-from references import brute_clique_number, make_random_graph
+from references import brute_clique_number, lowest_bits, make_random_graph
 
 
 # --- parsing ----------------------------------------------------------------
@@ -72,6 +73,11 @@ def test_parse_comments_and_blank_lines():
     ("vertex a\nedge a b", "undeclared", 2),
     ("vertex a order=1", "order 1 < 2", 1),
     ("vertex a order=x", "order=N", 1),
+    # orders are ASCII digits: no other decimal digits, sign or underscore
+    ("vertex a order=\u0663", "order=N", 1),
+    ("vertex a order=\uff13", "order=N", 1),
+    ("vertex a order=+3", "order=N", 1),
+    ("vertex a order=3_0", "order=N", 1),
     ("frobnicate a", "unknown directive", 1),
     ("graph A\ngraph B", "duplicate graph", 2),
     ("vertex a\ngraph B", "must come first", 2),
@@ -149,6 +155,26 @@ def test_vertex_set_matches_frozenset_semantics(random_graphs_9):
         g.subset(["zz"])
     with pytest.raises(AttributeError):
         g.full_set().mask = 0
+
+
+def test_bits_matches_lowest_bit_reference():
+    """`_bits` picks a C-speed decode for masks with many set bits and
+    lowest-bit steps for the rest; either way it gives the reference's
+    list.  The popcounts swept below reach past the crossover wherever the
+    length allows."""
+    rng = random.Random(2302)
+    masks = [0] + [1 << i for i in range(601)]
+    for length in (2, 8, 9, 30, 64, 150, 600, 1500):
+        for count in range(1, min(length, 12 + length // 10) + 1):
+            rest = rng.sample(range(length - 1), count - 1)
+            masks.append(sum(1 << i for i in rest) | 1 << (length - 1))
+    for _ in range(300):
+        count = rng.randint(4, 300)
+        length = rng.randint(count, 4 * count)
+        masks.append(sum(1 << i for i in rng.sample(range(length), count)))
+    for m in masks:
+        got = _bits(m)
+        assert type(got) is list and got == lowest_bits(m), hex(m)
 
 
 # --- link / star / completeness ----------------------------------------------

@@ -10,7 +10,8 @@ from graphprod.isomorphism import MAX_EXACT_VERTICES, canonical_key
 from graphprod.relhyp import jinf
 from graphprod.squares import minsquare_subgraphs
 
-from references import brute_canonical_key, make_random_graph
+from references import brute_canonical_key, dict_piece, make_random_graph
+from test_output_digest import digest_graphs
 
 
 def complete_bipartite(m, n):
@@ -47,6 +48,24 @@ def _sparse_graph(rng, name, n):
     orders = {v: rng.randint(2, 3) for v in verts if rng.random() < 0.3}
     return SimplicialGraph(name, verts, [(verts[a], verts[b]) for a, b in sorted(edges)],
                            orders)
+
+
+# --- piece shapes -----------------------------------------------------------------
+
+
+def test_piece_matches_dict_reference():
+    """`_piece` numbers a member by the popcount of the piece mask below it;
+    the dict-based version it replaced is the reference, on every minsquare
+    piece and `jinf` member of the digest graphs and of seeded sparse
+    graphs."""
+    rng = random.Random(2303)
+    graphs = digest_graphs() + [_sparse_graph(rng, f"S{k}", rng.randint(100, 200))
+                                for k in range(20)]
+    pieces = [p for g in graphs for p in minsquare_subgraphs(g) + jinf(g).members]
+    # whole-graph members of up to 200 vertices decode their masks at C speed
+    assert len(pieces) > 1000 and max(len(p) for p in pieces) > 100
+    for p in pieces:
+        assert isomorphism._piece(p) == dict_piece(p), p
 
 
 # --- the pruned search against the unpruned one ---------------------------------

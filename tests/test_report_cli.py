@@ -736,6 +736,11 @@ def test_cli_parse_error_exit_1(tmp_path, capsys):
     bad.write_text("vertex a\nedge a a\n")
     assert main(["analyze", str(bad)]) == 1
     assert "self-loop" in capsys.readouterr().err
+    # an order is ASCII digits, so the parse error is the usual one line
+    for order in ("\u0663", "+3", "3_0"):
+        bad.write_text(f"graph X\nvertex a order={order}\n", encoding="utf-8")
+        assert main(["analyze", str(bad)]) == 1
+        assert capsys.readouterr().err == f"gpr: {bad}: line 2: expected order=N\n"
 
 
 def test_cli_missing_file_exit_1(capsys):
@@ -758,6 +763,12 @@ def test_cli_usage_error_exit_1(capsys):
 def test_cli_bad_word_exit_1(corpus_files, capsys):
     assert main(["reduce", corpus_files["SQ4"], "--word", "q q"]) == 1
     assert "unknown vertex" in capsys.readouterr().err
+    # an exponent is ASCII digits; the error names the token as typed
+    # (int() read a^1_1 as a^11)
+    for word in ("a^+1", "a^\u0661", "a^1_1"):
+        assert main(["reduce", corpus_files["SQ4"], "--word", word]) == 1
+        assert capsys.readouterr().err == \
+            f"gpr: bad word {word!r}: bad exponent in token {word!r}\n"
 
 
 def test_render_functions_smoke(corpus_graphs):

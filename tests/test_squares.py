@@ -229,13 +229,58 @@ def _gnp_10_40():
     return out
 
 
+def _sparse_100_200():
+    """Twenty seeded sparse graphs, n from 100 to 200 and mean degree 2 to
+    4, drawn by edges: most have isolated and degree-1 vertices, and most
+    of their lower vertices carry no square pair."""
+    rng = random.Random(2301)
+    out = []
+    for k in range(20):
+        n = rng.randint(100, 200)
+        verts = [f"v{i}" for i in range(n)]
+        m = int(n * rng.uniform(1, 2))
+        edges = set()
+        while len(edges) < m:
+            a, b = rng.sample(range(n), 2)
+            edges.add((verts[min(a, b)], verts[max(a, b)]))
+        out.append(SimplicialGraph(f"S{k}", verts, sorted(edges)))
+    return out
+
+
+def _row_pairs(old):
+    """The pair table the rows imply: per lower vertex x of a diagonal
+    {x, z}, F({x, z}) is the union of the other diagonals of its squares;
+    and per vertex, the mask of the vertices it shares a diagonal with."""
+    table, partners = {}, Counter()
+    for m, d1, d2 in old.rows:
+        for d, other in ((d1, d2), (d2, d1)):
+            x, z = _bits(d)
+            row = table.setdefault(x, {})
+            row[z] = row.get(z, 0) | other
+            partners[x] |= 1 << z
+            partners[z] |= 1 << x
+    return table, partners
+
+
 def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
     rng = random.Random(1212)
     seen = Counter()
-    for g in list(corpus_graphs.values()) + random_graphs_9 + _gnp_10_40():
+    edgeless = SimplicialGraph("EMPTY", "abcdef")
+    one_edge = SimplicialGraph("ONE", "abc", [("a", "b")])
+    for g in (list(corpus_graphs.values()) + random_graphs_9 + _gnp_10_40()
+              + _sparse_100_200() + [edgeless, one_edge]):
         old = RowSquareCore(g)
         new = _core(g)
         assert new.n_squares == len(old.rows)
+        # rows exist only for the lower vertices that carry a pair
+        table, partners = _row_pairs(old)
+        assert new.pairs == table
+        assert new.partners == [partners[v] for v in range(g.n)]
+        if g.n >= 100:
+            degrees = Counter(a.bit_count() for a in g._adj_bits)
+            seen["isolated vertex"] += degrees[0] > 0
+            seen["degree-1 vertex"] += degrees[1] > 0
+            seen["most vertices rowless"] += len(new.pairs) < g.n // 4
         # the two cores' components, each with its closure, are the same
         assert sorted(zip(new.unions, new.closures)) == sorted(zip(old.unions, old.closures))
         assert new.minimal == old.minimal
@@ -269,5 +314,6 @@ def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
             seen["jinf step 0"] += iterations == 0
             seen["uncovered"] += bool(old.uncovered)
             seen["jinf steps"] += iterations > 0
-    for case in ("lex order", "mask order", "jinf step 0", "uncovered", "jinf steps"):
+    for case in ("lex order", "mask order", "jinf step 0", "uncovered", "jinf steps",
+                 "isolated vertex", "degree-1 vertex", "most vertices rowless"):
         assert seen[case] >= 3, (case, seen)

@@ -51,6 +51,10 @@ def test_parse_word(corpus_graphs):
     with pytest.raises(WordParseError):
         parse_word(sq4, "a^x")
     v3 = parse_graph("vertex v order=3")
+    # exponents are ASCII digits; int() read the first four as 1, 1, 1, 11
+    for tok in ("v^+1", "v^\u0661", "v^\uff11", "v^1_1", "v^-1", "v^"):
+        with pytest.raises(WordParseError, match="bad exponent in token"):
+            parse_word(v3, tok)
     assert rw(v3, "v^2 v^2").sylls == ((0, 1),)
     # unreduced words are equal and hash alike exactly when their syllables
     # and graphs are
