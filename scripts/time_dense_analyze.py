@@ -10,9 +10,12 @@ degree 3.  Every run analyzes a freshly built graph object, so no square
 data is reused.  Printed per graph, from the run with the best analyze
 total: the induced-square count, the analyze total, the time spent
 building the square core (`squares._SquareCore`: the pair table, the
-components of the squares and their closures), the time spent in the `jinf`
-steps (`relhyp._step`, every merge-and-pad step after the first) and the
-time spent in `electrification_hyperbolic`.
+components of the squares and the closures of those of two or more
+squares), the time spent in the `jinf` steps (`relhyp._step`, every
+merge-and-pad step after the first) and the time spent in
+`electrification_hyperbolic`.  Then, read off the square core after
+`analyze`, the number of components of the squares and how many of them
+the core closed: a component of one square is its own closure.
 """
 
 import argparse
@@ -70,10 +73,13 @@ def main():
             rep = report.analyze(g)
             best = min(best, (time.perf_counter() - start, *spent.values()))
         total, core, steps, electrification = best
+        unions = squares._core(g).unions
         print(f"{f'G({n}, {p})':<15} {rep.n_induced_squares:>9,} squares  "
               f"{total * 1e3:9.2f} ms  core {core * 1e3:8.2f} ms  "
               f"jinf steps {steps * 1e3:8.2f} ms  "
-              f"electrification {electrification * 1e3:8.2f} ms")
+              f"electrification {electrification * 1e3:8.2f} ms  "
+              f"components {len(unions):>5,} closed "
+              f"{sum(u.bit_count() > 4 for u in unions):>5,}")
 
 
 if __name__ == "__main__":

@@ -44,16 +44,24 @@ uncovered squares) does not step through the others.
    So the closure of a seed is reached by adding F(P) for every pair P
    inside the current set until nothing changes: each addition is forced,
    and what is left is square-complete.
-5. A square is square-complete iff its component is that square alone and
-   the closure of the component adds nothing.  The closure of a square
-   absorbs every square sharing a diagonal with a square inside it, so it
-   contains the square's component and is the closure of the component's
-   union.  Four vertices hold at most one induced square, so the component
-   is the square alone iff its union has four vertices.
+5. A square is square-complete iff it is its own component, that is, iff
+   its component's union has 4 vertices.  First, a square's only
+   non-adjacent pairs are its two diagonals.  Second, the squares through
+   a diagonal belong to the square's component, so F of each diagonal
+   lies inside the union (fact 3); when the union is the square itself,
+   the square is square-complete by fact 4.  Third, the closure of any
+   square absorbs every square sharing a diagonal with a square inside
+   it, so it contains that square's component; a square-complete square
+   is its own closure, so its union is the square.  Hence the closure of
+   a square is the closure of its component's union, and a 4-vertex
+   union is its own closure.  Four vertices hold only one induced square,
+   so such a union is one square alone, and it is always a minimal
+   closure: every closure contains a square, and the only square inside
+   the union is its own.
 6. The first step of `relhyp.jinf` gives back the squares iff it gives
    n_squares members of four vertices each.  Each member contains a
-   component's union, hence a square, so a 4-vertex member is a square,
-   and n_squares distinct squares are all of them.
+   component's union, so a 4-vertex member is a 4-vertex union, which is
+   one square (fact 5), and n_squares distinct squares are all of them.
 
 Squares are listed only where the output shows them: by `induced_squares`
 and as the uncovered squares of `electrification_hyperbolic`, taken from
@@ -134,7 +142,8 @@ class _SquareCore:
     n_squares number of induced squares
     unions    vertex mask of each component of the squares (fact 3)
     closures  closure mask of each component's union, which is the closure
-              of any square of the component (fact 5)
+              of any square of the component; a 4-vertex union, one
+              square alone, is its own closure and is not closed (fact 5)
     minimal   masks of the minsquare subgraphs, ascending: the minimal
               closures
     electrification_hyperbolic
@@ -146,8 +155,8 @@ class _SquareCore:
               graph has a square and splits as the join of a minsquare
               subgraph and a complete graph (see morse_all_hyperbolic)
     sc_order2_square
-              a union of 4 vertices, all of order 2, equals its own
-              closure: a square-complete square with all orders 2 (fact 5)
+              some 4-vertex union has all orders 2: a square-complete
+              square with all orders 2 (fact 5)
     """
 
     __slots__ = ("pairs", "partners", "n_squares", "unions", "closures",
@@ -156,8 +165,9 @@ class _SquareCore:
 
     def __init__(self, g):
         self.pairs, self.partners, self.n_squares = _square_pairs(g)
-        self.unions = _components(g._adj_bits, self.pairs, self.partners)
-        self.closures = [_close(self, u)[0] for u in self.unions]
+        self.unions = _components(self.pairs, self.partners)
+        self.closures = [u if u.bit_count() == 4 else _close(self, u)[0]
+                         for u in self.unions]
         # taken by size, a closure that holds another holds a minimal one
         # taken before it, and one that meets no minimal closure holds none
         closures = set(self.closures)
@@ -172,19 +182,19 @@ class _SquareCore:
         full = (1 << g.n) - 1
         self.universal = _universal(g, full)
         self.join_form = (full & ~self.universal) in self.minimal
-        orders = g._orders_ix
         self.sc_order2_square = any(
-            u.bit_count() == 4 and c == u and all(orders[i] == 2 for i in _bits(u))
-            for u, c in zip(self.unions, self.closures))
+            u.bit_count() == 4 and all(g._orders_ix[i] == 2 for i in _bits(u))
+            for u in self.unions)
 
 
-def _components(adj, pairs, partners):
+def _components(pairs, partners):
     """The union masks of the components of the squares, found as the
     components of the pair graph of fact 3 by a depth-first search that
     keeps, per lower vertex u with a row, the mask of partners v > u whose
     pair is not yet reached.  A pair inside F(P) carries a square, so its
     lower vertex has a row; the search reads only the members of F(P) that
-    have one."""
+    have one.  Partners are non-adjacent, so every unseen partner of u
+    in F(P) is the other end of a pair inside F(P)."""
     unseen = {x: partners[x] & (-2 << x) for x in pairs}
     lowers = sum(1 << x for x in pairs)
     unions = []
@@ -203,7 +213,7 @@ def _components(adj, pairs, partners):
                     b = rest & -rest
                     rest ^= b
                     u = b.bit_length() - 1
-                    new = f & ~adj[u] & unseen[u]
+                    new = f & unseen[u]
                     if new:
                         unseen[u] ^= new
                         while new:
@@ -312,7 +322,10 @@ def electrification_hyperbolic(g):
     closure of any of its squares, lies in M, and equals M by minimality.
     Conversely, a minimal closure holds its component's pairs.  A pair
     {x, z} lies in a minimal closure iff the closures holding x and the
-    closures holding z meet, read as the masks of their indices."""
+    closures holding z meet, read as the masks of their indices.  A
+    one-square component is always covered, since its 4-vertex union is a
+    minimal closure (fact 5 of the module docstring), so the uncovered
+    squares lie in components of two or more squares."""
     core = _core(g)
     if core.electrification_hyperbolic:
         return ElectrificationCheck(hyperbolic=True, uncovered=())

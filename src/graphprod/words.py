@@ -95,7 +95,8 @@ class Word:
 def parse_word(graph, text):
     """Word syntax: whitespace-separated tokens ``v`` or ``v^k``, k written
     in ASCII digits; ``e`` stands for the empty word and may appear anywhere
-    as a no-op."""
+    as a no-op, so a syllable at a vertex named ``e`` is written ``e^k``,
+    also for k = 1."""
     sylls = []
     for tok in text.split():
         if tok == "e":
@@ -117,11 +118,13 @@ def parse_word(graph, text):
 
 
 def format_word(w):
-    """Render a Word or NormalForm in CLI syntax (``e`` for the empty word)."""
+    """Render a Word or NormalForm in CLI syntax (``e`` for the empty word).
+    A syllable at a vertex named ``e`` is written ``e^k``, also for k = 1,
+    so that `parse_word` reads the text back as the same word."""
     sylls = w.syllables
     if not sylls:
         return "e"
-    return " ".join(v if e == 1 else f"{v}^{e}" for v, e in sylls)
+    return " ".join(v if e == 1 and v != "e" else f"{v}^{e}" for v, e in sylls)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from graphprod.words import format_word
 
 from references import make_random_graph
 
-EXPECTED = "197c6b2e4a6e27b887dea709d8307450dfbf99a2cc4dfcc01668c53b5948d811"
+EXPECTED = "e6eafad4fac68c7c701ed874352daedf35b6b261efcf5fb1baeabb73a570c884"
 
 PAIRS_PER_BALL = 8
 

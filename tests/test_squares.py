@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+from graphprod import squares
 from graphprod.graphs import (
     _LEX_ORDER_MAX_N,
     SimplicialGraph,
@@ -284,6 +285,11 @@ def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
         # the two cores' components, each with its closure, are the same
         assert sorted(zip(new.unions, new.closures)) == sorted(zip(old.unions, old.closures))
         assert new.minimal == old.minimal
+        # a 4-vertex union is one square, its own closure and a minimal one
+        for u in new.unions:
+            if u.bit_count() == 4:
+                assert _close(new, u)[0] == u and u in new.minimal
+        seen["component of two or more squares"] += any(u.bit_count() > 4 for u in new.unions)
         assert new.electrification_hyperbolic == (not old.uncovered)
         # the non-adjacent pairs inside a square are its diagonals, so it is
         # square-complete iff no other square has either of them as a diagonal
@@ -315,5 +321,26 @@ def test_pair_core_matches_row_core(corpus_graphs, random_graphs_9):
             seen["uncovered"] += bool(old.uncovered)
             seen["jinf steps"] += iterations > 0
     for case in ("lex order", "mask order", "jinf step 0", "uncovered", "jinf steps",
-                 "isolated vertex", "degree-1 vertex", "most vertices rowless"):
+                 "isolated vertex", "degree-1 vertex", "most vertices rowless",
+                 "component of two or more squares"):
         assert seen[case] >= 3, (case, seen)
+
+
+def test_core_closes_only_components_of_two_or_more_squares(
+        corpus_graphs, random_graphs_9, monkeypatch):
+    close = squares._close
+    closed = []
+
+    def counted(core, mask):
+        closed.append(mask)
+        return close(core, mask)
+
+    monkeypatch.setattr(squares, "_close", counted)
+    seen = Counter()
+    for g in list(corpus_graphs.values()) + random_graphs_9 + _sparse_100_200():
+        closed.clear()
+        core = squares._SquareCore(g)
+        assert closed == [u for u in core.unions if u.bit_count() > 4]
+        seen["one-square component"] += any(u.bit_count() == 4 for u in core.unions)
+        seen["closed"] += bool(closed)
+    assert seen["one-square component"] >= 3 and seen["closed"] >= 3, seen

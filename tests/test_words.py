@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphprod.geometry import electrified_distance, hyperplane_of_edge
+from graphprod.geometry import build_ball, electrified_distance, hyperplane_of_edge
 from graphprod.graphs import GraphMismatchError, SimplicialGraph, parse_graph
 from graphprod.words import (
     Word,
@@ -68,6 +68,34 @@ def test_format_roundtrip(corpus_graphs):
     sq4 = corpus_graphs["SQ4"]
     for text in ("e", "a", "a b", "a c a"):
         assert format_word(rw(sq4, text)) == text
+
+
+def _graphs_with_vertex_e(rng, count):
+    """Seeded random graphs on 3..7 vertices, one of them named e, declared
+    in shuffled order, about a third of the vertices with order 3 or 4."""
+    out = []
+    for k in range(count):
+        verts = rng.sample("abcdfgh", rng.randint(2, 6)) + ["e"]
+        rng.shuffle(verts)
+        edges = [(u, v) for u, v in combinations(verts, 2) if rng.random() < 0.5]
+        orders = {v: rng.randint(3, 4) for v in verts if rng.random() < 0.3}
+        out.append(SimplicialGraph(f"E{k}", verts, edges, orders))
+    return out
+
+
+def test_format_parse_roundtrip_every_ball_vertex(corpus_graphs):
+    # "e" alone is the empty word, so a syllable at a vertex named e must be
+    # written e^1 to read back
+    graphs = list(corpus_graphs.values()) + _graphs_with_vertex_e(random.Random(5150), 30)
+    assert sum("e" in g.vertices for g in graphs) >= 32
+    for g in graphs:
+        for x in build_ball(g, 2).verts:
+            text = format_word(x)
+            assert reduce_word(parse_word(g, text)) == x, (g.name, text)
+    c5 = corpus_graphs["C5"]
+    assert format_word(rw(c5, "e^1")) == "e^1"
+    assert format_word(rw(c5, "a e")) == "a"
+    assert format_word(rw(c5, "a e^1")) == "a e^1"
 
 
 # --- reduction ------------------------------------------------------------------
