@@ -1,0 +1,99 @@
+"""Cost of a plain `build_ball` per ball vertex, with the sweep's work counts.
+
+    PYTHONPATH=src python scripts/time_ball.py [--seed S] [--repeat N]
+
+The cases are the corpus graph ELEC_FALSE at radius 7 (all orders 2) and,
+for each radius 4 .. 7, one random graph drawn with random.Random(S): n
+vertices v0 .. v(n-1), each pair an edge with probability p (n and p drawn
+from ranges that shrink n and raise p as the radius grows), each vertex of
+order 3 with probability 0.3 and 2 otherwise.  A draw is kept when it has a
+vertex of order 3 and its ball holds 5,000 .. 40,000 vertices.
+
+Printed per case: the ball's vertices and edges, its inner vertices (shorter
+than the radius) and outermost ones, the `words._push` and
+`words._last_syllables` calls of one build (counted in a separate run), and
+the best of N uncached builds in microseconds per ball vertex.
+"""
+
+import argparse
+import random
+import time
+from itertools import combinations
+
+import graphprod.geometry as geometry
+from graphprod.corpus import load
+from graphprod.geometry import BallCapExceeded, build_ball
+from graphprod.graphs import SimplicialGraph
+
+# radius -> (least n, greatest n, least p, greatest p)
+FAMILIES = {4: (6, 9, 0.15, 0.5), 5: (5, 9, 0.25, 0.6),
+            6: (4, 8, 0.3, 0.7), 7: (4, 7, 0.35, 0.8)}
+SIZES = (5_000, 40_000)
+
+
+def random_case(rng, radius):
+    """A graph drawn from the radius's family whose ball fits SIZES."""
+    n_lo, n_hi, p_lo, p_hi = FAMILIES[radius]
+    for k in range(1000):
+        n = rng.randint(n_lo, n_hi)
+        p = rng.uniform(p_lo, p_hi)
+        verts = [f"v{i}" for i in range(n)]
+        edges = [(a, b) for a, b in combinations(verts, 2) if rng.random() < p]
+        orders = {v: 3 for v in verts if rng.random() < 0.3}
+        if not orders:
+            continue
+        g = SimplicialGraph(f"R{radius}_{k}", verts, edges, orders)
+        build_ball.cache_clear()
+        try:
+            size = build_ball(g, radius, max_vertices=SIZES[1]).vertex_count
+        except BallCapExceeded:
+            continue
+        if size >= SIZES[0]:
+            return g
+    raise RuntimeError(f"no graph with a radius-{radius} ball in {SIZES}")
+
+
+def counted(name, counts):
+    """Replace geometry.name by a wrapper counting its calls; return the
+    original."""
+    orig = getattr(geometry, name)
+
+    def run(*args):
+        counts[name] += 1
+        return orig(*args)
+
+    setattr(geometry, name, run)
+    return orig
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+    rng = random.Random(args.seed)
+    cases = [(load("ELEC_FALSE"), 7)] + [(random_case(rng, r), r) for r in FAMILIES]
+    for g, r in cases:
+        counts = {"_push": 0, "_last_syllables": 0}
+        originals = {name: counted(name, counts) for name in counts}
+        build_ball.cache_clear()
+        ball = build_ball(g, r)
+        for name, orig in originals.items():
+            setattr(geometry, name, orig)
+        best = float("inf")
+        for _ in range(args.repeat):
+            build_ball.cache_clear()
+            start = time.perf_counter()
+            build_ball(g, r)
+            best = min(best, time.perf_counter() - start)
+        outer = sum(1 for x in ball.verts if len(x) == r)
+        orders = "".join(str(k) for k in g._orders_ix)
+        print(f"{g.name:<11} r={r} orders {orders:<9} "
+              f"vertices {ball.vertex_count:>6,} edges {ball.edge_count():>6,}  "
+              f"inner {ball.vertex_count - outer:>6,} outer {outer:>6,}  "
+              f"pushes {counts['_push']:>6,} scans {counts['_last_syllables']:>6,}  "
+              f"{best / ball.vertex_count * 1e6:6.2f} us/vertex")
+
+
+if __name__ == "__main__":
+    main()

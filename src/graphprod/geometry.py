@@ -260,6 +260,13 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     already recorded, so vertex order, edge order and cap outcome are those
     of the sweep over all products.
 
+    On the outermost level only amalgamations remain, and an amalgamation
+    needs a vertex of order above 2.  So an outermost vertex reads only its
+    last letters at those vertices and walks only their generators, in
+    declaration order; a graph with all orders 2 has none, and its sweep
+    stops at the first outermost vertex, since every later one is
+    outermost too.
+
     The cone groups are the minsquare cosets found by `_coset_heads`, one
     edge pass for all pieces, grouped by (piece, head) in index order."""
     if radius < 0:
@@ -297,14 +304,25 @@ def _sweep(graph, radius, max_vertices):
             raise BallCapExceeded(max_vertices, 0)
         gens = [(v, e, graph.vertices[v], (v, e))
                 for v in range(graph.n) for e in range(1, orders[v])]
+    every = (1 << graph.n) - 1
+    # the vertices of order above 2: the only ones that amalgamate
+    big = sum(1 << v for v, k in enumerate(orders) if k > 2)
+    big_gens = [gen for gen in gens if orders[gen[0]] > 2]
     # Vertices come level by level, so every vertex within the radius
     # exists before the outermost level is swept, and that level only adds
     # the edges among existing vertices, by amalgamation.
     for ix, x in enumerate(verts):
         sylls = x.sylls
-        last = _last_syllables(graph, sylls)
         grow = len(sylls) < radius
-        for v, e, name, s in gens:
+        if grow:
+            last = _last_syllables(graph, sylls, every)
+            walk = gens
+        elif big:
+            last = _last_syllables(graph, sylls, big)
+            walk = big_gens
+        else:
+            break  # every vertex from here on is outermost
+        for v, e, name, s in walk:
             f = last.get(v)
             if f is None:
                 if not grow:

@@ -170,14 +170,16 @@ def _push(g, out, s):
 
 class NormalForm:
     """Canonical reduced word for a group element.  Immutable and hashable;
-    equality means equality of group elements over equal graphs."""
+    equality means equality of group elements over equal graphs.  The hash
+    is computed on the first `__hash__` call and kept in `_hash`, so a
+    normal form that is never hashed (a ball vertex, which the ball indexes
+    by its syllables) never pays for it."""
 
     __slots__ = ("graph", "sylls", "_hash")
 
     def __init__(self, graph, sylls):
         self.graph = graph
         self.sylls = sylls  # tuple of (vertex index, exponent)
-        self._hash = hash((graph._hash, sylls))
 
     @property
     def length(self):
@@ -218,7 +220,11 @@ class NormalForm:
                 and self.graph == other.graph)
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.graph._hash, self.sylls))
+            return h
 
     def __reduce__(self):
         # rebuild through the constructor, so the hash is this process's
@@ -328,20 +334,29 @@ def head(x, s):
     return NormalForm(g, tuple(hd)), _make_nf(g, tl)
 
 
-def _last_syllables(g, sylls):
-    """Map vertex -> exponent of the last letters of a normal form: the
-    syllables that commute with every later syllable, so can be shuffled to
-    the end.  These are exactly the syllables that `_push` reaches, so a
-    syllable at vertex v amalgamates or cancels iff v is a key.  One
-    backward pass; at most one last letter per vertex, since a later
-    syllable at the same vertex does not commute with an earlier one."""
+def _last_syllables(g, sylls, allowed_mask):
+    """Map vertex -> exponent of the last letters of a normal form at the
+    vertices of `allowed_mask`: the syllables that commute with every later
+    syllable, so can be shuffled to the end.  These are exactly the
+    syllables that `_push` reaches, so a syllable at vertex v amalgamates or
+    cancels iff v is a key (for v in the mask).  At most one last letter per
+    vertex, since a later syllable at the same vertex does not commute with
+    an earlier one.
+
+    The backward scan keeps `cand`, the allowed vertices that commute with
+    every syllable passed so far (each one clears its own vertex and its
+    non-neighbours), and stops once `cand` is empty, as `_split_suffix`
+    does: no earlier syllable can be an allowed last letter."""
     adj = g._adj_bits
     out = {}
-    later = 0  # vertices of the syllables after the current one
-    for v, f in reversed(sylls):
-        if not later & ~adj[v]:
+    cand = allowed_mask
+    k = len(sylls)
+    while cand and k:
+        k -= 1
+        v, f = sylls[k]
+        if cand >> v & 1:
             out[v] = f
-        later |= 1 << v
+        cand &= adj[v]
     return out
 
 

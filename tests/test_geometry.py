@@ -243,6 +243,44 @@ def test_ball_sweep_computes_only_products_in_the_ball(monkeypatch, corpus_graph
             assert len(lengths) <= 2 * ball.edge_count()
 
 
+def test_ball_sweep_scans_outer_level_only_for_amalgamations(monkeypatch, corpus_graphs):
+    # an outermost vertex only amalgamates, which needs a vertex of order
+    # above 2: it reads its last letters at those vertices alone, and a graph
+    # with all orders 2 never scans its outermost level
+    scans = []
+    scan = words._last_syllables
+
+    def counting_scan(g, sylls, allowed_mask):
+        scans.append((len(sylls), allowed_mask))
+        return scan(g, sylls, allowed_mask)
+
+    monkeypatch.setattr(geometry, "_last_syllables", counting_scan)
+    for g in corpus_graphs.values():
+        assert max(g._orders_ix) == 2
+        for r in range(5):
+            scans.clear()
+            build_ball.cache_clear()
+            ball = build_ball(g, r)
+            assert len(scans) == sum(1 for x in ball.verts if len(x) < r), (g, r)
+            assert all(length < r for length, _ in scans), (g, r)
+    rng = random.Random(6606)
+    with_big = 0
+    for k in range(60):
+        g = make_random_graph(rng, 7, max_order=3 + k % 2, name=f"BO{k}")
+        every = (1 << g.n) - 1
+        big = sum(1 << v for v, o in enumerate(g._orders_ix) if o > 2)
+        with_big += big != 0
+        for r in range(4):
+            scans.clear()
+            build_ball.cache_clear()
+            ball = build_ball(g, r)
+            outer = sum(1 for x in ball.verts if len(x) == r) if big else 0
+            assert [m for length, m in scans if length == r] == [big] * outer, (g, r)
+            assert [m for length, m in scans if length < r] == \
+                [every] * sum(1 for x in ball.verts if len(x) < r), (g, r)
+    assert with_big >= 30
+
+
 def test_ball_spellings_share_one_sweep(monkeypatch):
     # positional, keyword and default spellings name one cache entry, and an
     # electrified build reuses the plain sweep and its structures

@@ -471,6 +471,26 @@ def test_copy_and_pickle_round_trip():
         multiply(objects[2], objects[2])
 
 
+def test_normal_form_hashes_on_first_use():
+    # a ball indexes its vertices by their syllables, so a build hashes none
+    # of them; once hashed, equal normal forms from every source hash equal
+    # and find each other
+    g = _mixed_graph()
+    build_ball.cache_clear()
+    ball = build_ball(g, 3)
+    assert not any(hasattr(v, "_hash") for v in ball.verts)
+    x = rw(g, "a b^2 d^3")
+    forms = [ball.verts[ball.index_of(x)], x,
+             reduce_word(Word(g, [("b", 2), ("a", 1), ("d", 3)])),
+             multiply(rw(g, "a b"), rw(g, "b d^3")),
+             copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+    assert len({id(y) for y in forms}) == len(forms)
+    assert len({hash(y) for y in forms}) == 1
+    for y in forms:
+        table, members = {y: "found"}, {y}
+        assert all(table[z] == "found" and z in members for z in forms)
+
+
 def test_unpickled_normal_form_hashes_in_another_process():
     # the hash is recomputed on unpickling, so a normal form pickled under one
     # PYTHONHASHSEED is found as a dict key in a process with another
