@@ -14,6 +14,9 @@ standard output goes away before everything is written (``gpr ball ... |
 head -1``), gpr stops quietly with exit code 1.  ``gpr flat`` caps its grid
 at 200,000 vertices, which bounds memory, not time: checking the grid
 (``FlatGrid.is_isometric``) takes time growing about as size^4, with no cap.
+``gpr analyze`` has no work bound either: its exact maximum-clique search
+(``graphs.clique_number``) takes exponential time in the worst case, about
+0.8 s on a 100-vertex graph of edge density 0.9.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ EDGEW       SQ4 plus a vertex adjacent to the edge {a, b}
 ELEC_FALSE  smallest graph whose electrification is not hyperbolic
 """
 
-from importlib import resources
+import os
 
 from .graphs import parse_graph
 
@@ -22,7 +22,9 @@ CORPUS_NAMES = ("SQ4", "C5", "K4", "K33", "CONE", "DIAG", "EDGEW", "ELEC_FALSE")
 def corpus_text(name):
     if name not in CORPUS_NAMES:
         raise KeyError(f"no corpus graph named {name!r}")
-    return resources.files("graphprod.data").joinpath(f"{name}.gg").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.gg")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def load(name):

@@ -12,7 +12,6 @@ square, and computes electrified distances on cone-off balls.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -480,8 +479,7 @@ def transverse(j1, j2, ball):
 # flat grids
 
 
-@dataclass(frozen=True)
-class FlatGrid:
+class FlatGrid(NamedTuple):
     """Grid of vertices origin * h_i * v_j, where the h_i are the prefixes of
     an alternating word over one diagonal and the v_j over the other.  When
     the defining pairs span an induced square the grid is isometrically

@@ -74,7 +74,7 @@ class SimplicialGraph:
 
     def __init__(self, name, vertices, edges=(), orders=None):
         vertices = tuple(vertices)
-        if not _ID_RE.match(name):
+        if not isinstance(name, str) or not _ID_RE.match(name):
             raise ValueError(f"invalid graph name {name!r}")
         seen = set()
         for v in vertices:

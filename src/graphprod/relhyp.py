@@ -17,7 +17,7 @@ benchmark's graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import _bits, _complete_mask, _set_from_mask
 from .squares import _core
@@ -25,8 +25,7 @@ from .squares import _core
 __all__ = ["PeripheralStructure", "cp", "jinf"]
 
 
-@dataclass(frozen=True)
-class PeripheralStructure:
+class PeripheralStructure(NamedTuple):
     """Fixed point of the merge-and-pad iteration.
 
     members     canonically sorted vertex sets

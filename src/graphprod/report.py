@@ -16,9 +16,9 @@ how pieces are sorted into types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json import loads
 from json.encoder import encode_basestring_ascii as _str
+from typing import NamedTuple
 
 from . import __version__
 from .isomorphism import MAX_EXACT_VERTICES, _piece_types
@@ -125,8 +125,7 @@ _FOOTNOTE = ("piece types are matched up to isomorphism with order labels, "
              "multisets support but never prove quasi-isometry")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     graph_name: str
     n_vertices: int
     orders: dict
@@ -229,39 +228,31 @@ def analyze(g):
 
 
 def render_report(report):
-    d = report.to_dict()
-    # the orders in declaration order: the parsed JSON has them sorted
-    lines = [f"graph {d['graph_name']}: {d['n_vertices']} vertices, "
-             f"orders {report.orders}"]
-    lam = d["core"]
-    ms = d["minsquare_subgraphs"]
-    ec = d["electrification_hyperbolic"]
-    mo = d["morse_all_hyperbolic"]
-    cert = mo["certificate"]
-    if cert["kind"] == "join":
-        cert_s = (f"join of {{{','.join(cert['minsquare_part'])}}} and "
-                  f"{{{','.join(cert['complete_part'])}}}")
-    elif cert["kind"] == "square-free":
-        cert_s = "square-free"
-    else:
-        cert_s = cert["explanation"]
+    """The report as text; vertex sets print as `{a,b}` in declaration
+    order."""
+    r = report
+    cert = r.morse.certificate
+    if isinstance(cert, tuple):
+        cert = f"join of {cert[0]} and {cert[1]}"
     rows = [
-        ("clique number", d["clique_number"]),
-        ("hyperbolic (square-free)", d["hyperbolic"]),
-        ("essential", d["essential"]),
-        ("core split", f"{{{','.join(lam['lambda0'])}}} * {{{','.join(lam['lambda1'])}}}"),
-        ("induced squares", d["n_induced_squares"]),
+        ("clique number", r.clique_number),
+        ("hyperbolic (square-free)", r.hyperbolic),
+        ("essential", r.essential),
+        ("core split", " * ".join(map(str, r.core))),
+        ("induced squares", r.n_induced_squares),
         ("minsquare subgraphs",
-         "; ".join("{" + ",".join(m["vertices"]) + "}" for m in ms) or "(none)"),
-        ("minsquare graph", d["is_minsquare_graph"]),
-        ("CFS", d["cfs"]),
-        ("electrification hyperbolic", ec["hyperbolic"]),
-        ("morse subgroups all hyperbolic", f"{mo['all_hyperbolic']} ({cert_s})"),
+         "; ".join(map(str, r.minsquare_subgraphs)) or "(none)"),
+        ("minsquare graph", r.is_minsquare_graph),
+        ("CFS", r.cfs),
+        ("electrification hyperbolic", r.electrification.hyperbolic),
+        ("morse subgroups all hyperbolic", f"{r.morse.all_hyperbolic} ({cert})"),
         ("peripheral members",
-         "; ".join("{" + ",".join(m) + "}" for m in d["jinf_members"]) or "(none)"),
-        ("relative hyperbolicity", d["rh_status"]),
+         "; ".join(map(str, r.jinf_members)) or "(none)"),
+        ("relative hyperbolicity", r.rh_status),
     ]
     width = max(len(k) for k, _ in rows)
+    lines = [f"graph {r.graph_name}: {r.n_vertices} vertices, "
+             f"orders {r.orders}"]
     lines += [f"  {k:<{width}}  {v}" for k, v in rows]
     return "\n".join(lines)
 
@@ -270,8 +261,7 @@ def render_report(report):
 # comparison
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     pair: tuple
     distinguishing_invariants: tuple  # (name, value_a, value_b) triples
     verdict: str                      # "distinguished" | "inconclusive"

@@ -80,7 +80,6 @@ as soon as nothing refers to the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (
@@ -106,8 +105,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """Certificate of one closure run.  Each step is (added, trigger): the
     trigger is a non-adjacent pair P already inside the accumulated set,
     named in declaration order, and added is the part of F(P) not yet in

@@ -117,6 +117,8 @@ def test_constructor_rejects_bad_input():
         SimplicialGraph("G", ["a", "b"], orders={"a": 1})
     with pytest.raises(ValueError, match="invalid graph name"):
         SimplicialGraph("1G", ["a"])
+    with pytest.raises(ValueError, match="invalid graph name"):
+        SimplicialGraph(5, ["a"])
     with pytest.raises(ValueError, match="invalid vertex identifier"):
         SimplicialGraph("G", ["a", "1b"])
     with pytest.raises(ValueError, match="order given for unknown vertex 'b'"):

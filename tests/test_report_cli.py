@@ -652,17 +652,19 @@ def test_cli_distance_radius_without_electrified_exit_1(corpus_files, capsys):
     assert "--radius requires --electrified" in _one_line_error(capsys)
 
 
-def test_cli_imports_neither_numpy_nor_scipy():
-    # a fresh interpreter: the test process itself may have loaded them
+def test_cli_ball_and_corpus_load_no_heavy_module():
+    # a fresh interpreter: the test process itself may have loaded them; -S
+    # keeps site's .pth files from importing modules the library does not
+    heavy = ("numpy", "scipy", "dataclasses", "inspect", "importlib.resources")
     code = ("import sys\n"
             "import graphprod.cli\n"
             "from graphprod import build_ball, corpus\n"
             "ball = build_ball(corpus.load('SQ4'), 2, electrified=True)\n"
             "ball.distances_from([0])\n"
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "[]"
 
