@@ -18,13 +18,15 @@ The .gg format is line oriented, with ``#`` starting a comment:
 
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  Orders are written in ASCII
 digits, default to 2 and must be at least 2.  Vertices must be declared
-before edges mention them.
+before edges mention them.  The parser checks only the shape of each line;
+the declarations are then checked in file order, by the same rules and
+with the same messages that `SimplicialGraph` applies to its arguments.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress
+from itertools import chain, compress
 from operator import rshift
 
 __all__ = [
@@ -44,11 +46,13 @@ __all__ = [
     "is_star_of_vertex",
 ]
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class GGParseError(ValueError):
-    """Malformed .gg input. Carries the 1-based line number when known."""
+    """Malformed .gg input, or a graph that breaks a .gg rule.  Carries the
+    1-based line number only when it comes from parsing: `line` is None
+    when the `SimplicialGraph` constructor raises it."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -73,48 +77,16 @@ class SimplicialGraph:
                  "_edges", "_hash", "_core")
 
     def __init__(self, name, vertices, edges=(), orders=None):
-        vertices = tuple(vertices)
-        if not isinstance(name, str) or not _ID_RE.match(name):
-            raise ValueError(f"invalid graph name {name!r}")
-        seen = set()
-        for v in vertices:
-            if not isinstance(v, str) or not _ID_RE.match(v):
-                raise ValueError(f"invalid vertex identifier {v!r}")
-            if v in seen:
-                raise ValueError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        index = {v: i for i, v in enumerate(vertices)}
         orders = dict(orders or {})
-        for v, k in orders.items():
-            if v not in index:
-                raise ValueError(f"order given for unknown vertex {v!r}")
-            if not isinstance(k, int) or k < 2:
-                raise ValueError(f"vertex {v!r}: order must be an integer >= 2")
-        n = len(vertices)
-        adj_bits = [0] * n
-        edge_set = set()
-        for u, v in edges:
-            if u not in index:
-                raise ValueError(f"edge endpoint {u!r} undeclared")
-            if v not in index:
-                raise ValueError(f"edge endpoint {v!r} undeclared")
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            i, j = index[u], index[v]
-            adj_bits[i] |= 1 << j
-            adj_bits[j] |= 1 << i
-            edge_set.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "vertices", vertices)
-        orders_ix = tuple(orders.get(v, 2) for v in vertices)
-        edges = tuple(sorted(edge_set))
-        object.__setattr__(self, "_orders_ix", orders_ix)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj_bits", tuple(adj_bits))
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_hash", hash((name, vertices, edges, orders_ix)))
-        # per-graph square data, filled in on first use by graphprod.squares
-        object.__setattr__(self, "_core", None)
+        # _build rejects a vertex that is not a string before reading its
+        # order, so only strings are looked up (a list would not hash)
+        _build(self, chain(
+            [(None, "graph", name, None)],
+            ((None, "vertex", v, orders.pop(v, 2) if isinstance(v, str) else 2)
+             for v in vertices),
+            ((None, "edge", u, v) for u, v in edges)))
+        if orders:
+            raise GGParseError(f"order given for unknown vertex {next(iter(orders))!r}")
 
     def __setattr__(self, *_):
         raise AttributeError("SimplicialGraph is immutable")
@@ -264,64 +236,108 @@ def _set_from_mask(g, mask):
 # .gg parsing and serialization
 
 
+def _build(g, decls):
+    """Fill the slots of the new graph g from the declarations
+    (line, kind, a, b), taken in order: ("graph", NAME, None),
+    ("vertex", ID, order) and ("edge", ID, ID).  This is where every
+    rule on the declarations is checked, once, for the parser and the
+    constructor alike; the error carries the line of the declaration that
+    breaks it.
+    A graph with no "graph" declaration is named G."""
+    name = "G"
+    index = {}          # vertex -> its number, in declaration order
+    orders_ix = []
+    adj = []
+    edge_set = set()
+    for line, kind, a, b in decls:
+        if kind == "edge":
+            if a == b:
+                raise GGParseError(f"self-loop at {a!r}", line)
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise GGParseError(
+                    f"edge endpoint {(a if i is None else b)!r} undeclared", line)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            edge_set.add((i, j) if i < j else (j, i))
+        elif kind == "vertex":
+            if not (isinstance(a, str) and _ID_RE.fullmatch(a)):
+                raise GGParseError(f"invalid vertex identifier {a!r}", line)
+            if a in index:
+                raise GGParseError(f"duplicate vertex {a!r}", line)
+            if not isinstance(b, int):
+                raise GGParseError(f"vertex {a!r}: order must be an integer >= 2", line)
+            if b < 2:
+                raise GGParseError(f"vertex {a!r}: order {b} < 2", line)
+            index[a] = len(orders_ix)
+            orders_ix.append(b)
+            adj.append(0)
+        else:
+            if not (isinstance(a, str) and _ID_RE.fullmatch(a)):
+                raise GGParseError(f"invalid graph name {a!r}", line)
+            name = a
+    vertices = tuple(index)
+    orders_ix = tuple(orders_ix)
+    edges = tuple(sorted(edge_set))
+    fill = object.__setattr__
+    fill(g, "name", name)
+    fill(g, "vertices", vertices)
+    fill(g, "_orders_ix", orders_ix)
+    fill(g, "_index", index)
+    fill(g, "_adj_bits", tuple(adj))
+    fill(g, "_edges", edges)
+    fill(g, "_hash", hash((name, vertices, edges, orders_ix)))
+    # per-graph square data, filled in on first use by graphprod.squares
+    fill(g, "_core", None)
+
+
 def parse_graph(source):
     """Parse .gg text into a SimplicialGraph.
 
     >>> parse_graph("graph P2\\nvertex a\\nvertex b order=3\\nedge a b").order("b")
     3
     """
-    name = None
-    vertices = []
-    orders = {}
-    edges = []
-    declared = set()
+    g = object.__new__(SimplicialGraph)
+    _build(g, _declarations(source))
+    return g
+
+
+def _declarations(source):
+    """The declarations of .gg text, line by line, for `_build`.  Only the
+    shape of each line is checked here: its word count, the ``order=N``
+    digits, and that the one graph line comes first."""
+    named = declared = False
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kw = parts[0]
-        if kw == "graph":
-            if len(parts) != 2:
-                raise GGParseError("expected: graph NAME", lineno)
-            if name is not None:
-                raise GGParseError("duplicate graph line", lineno)
-            if vertices or edges:
-                raise GGParseError("graph line must come first", lineno)
-            if not _ID_RE.match(parts[1]):
-                raise GGParseError(f"invalid graph name {parts[1]!r}", lineno)
-            name = parts[1]
-        elif kw == "vertex":
-            if len(parts) not in (2, 3):
-                raise GGParseError("expected: vertex ID [order=N]", lineno)
-            v = parts[1]
-            if not _ID_RE.match(v):
-                raise GGParseError(f"invalid vertex identifier {v!r}", lineno)
-            if v in declared:
-                raise GGParseError(f"duplicate vertex {v!r}", lineno)
-            if len(parts) == 3:
-                m = re.match(r"^order=([0-9]+)$", parts[2])
-                if not m:
+        if kw == "vertex":
+            if len(parts) == 2:
+                yield lineno, kw, parts[1], 2
+            elif len(parts) == 3:
+                k = parts[2].removeprefix("order=")
+                if k == parts[2] or not (k.isascii() and k.isdigit()):
                     raise GGParseError("expected order=N", lineno)
-                k = int(m.group(1))
-                if k < 2:
-                    raise GGParseError(f"vertex {v!r}: order {k} < 2", lineno)
-                orders[v] = k
-            declared.add(v)
-            vertices.append(v)
+                yield lineno, kw, parts[1], int(k)
+            else:
+                raise GGParseError("expected: vertex ID [order=N]", lineno)
+            declared = True
         elif kw == "edge":
             if len(parts) != 3:
                 raise GGParseError("expected: edge ID ID", lineno)
-            u, v = parts[1], parts[2]
-            if u == v:
-                raise GGParseError(f"self-loop at {u!r}", lineno)
-            for w in (u, v):
-                if w not in declared:
-                    raise GGParseError(f"edge endpoint {w!r} undeclared", lineno)
-            edges.append((u, v))
+            yield lineno, kw, parts[1], parts[2]
+        elif kw == "graph":
+            if len(parts) != 2:
+                raise GGParseError("expected: graph NAME", lineno)
+            if named:
+                raise GGParseError("duplicate graph line", lineno)
+            if declared:
+                raise GGParseError("graph line must come first", lineno)
+            named = True
+            yield lineno, kw, parts[1], None
         else:
             raise GGParseError(f"unknown directive {kw!r}", lineno)
-    return SimplicialGraph(name or "G", vertices, edges, orders)
 
 
 def serialize_graph(g):

@@ -63,9 +63,10 @@ class Syllable(NamedTuple):
 
 
 class Word:
-    """An unreduced product of syllables over a fixed graph.  Exponents are
-    validated to lie in [0, order); zero exponents are legal input and vanish
-    on reduction."""
+    """An unreduced product of syllables over a fixed graph.  Vertices are
+    validated to be the graph's and exponents to lie in [0, order), both
+    raising WordParseError; zero exponents are legal input and vanish on
+    reduction."""
 
     __slots__ = ("graph", "syllables")
 
@@ -73,7 +74,10 @@ class Word:
         sylls = []
         for s in syllables:
             v, e = s
-            k = graph.order(v)  # raises on unknown vertex
+            i = graph._index.get(v)
+            if i is None:
+                raise WordParseError(f"unknown vertex {v!r}")
+            k = graph._orders_ix[i]
             if not isinstance(e, int) or not 0 <= e < k:
                 raise WordParseError(
                     f"syllable {v}^{e}: exponent outside [0, {k})")
@@ -109,10 +113,6 @@ def parse_word(graph, text):
             e = int(exp)
         else:
             v, e = tok, 1
-        try:
-            graph.order(v)
-        except ValueError:
-            raise WordParseError(f"unknown vertex {v!r}") from None
         sylls.append((v, e))
     return Word(graph, sylls)
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import graphprod.graphs as graphs_module
 from graphprod.corpus import corpus_text
 from graphprod.graphs import (
     _bits,
@@ -121,12 +122,100 @@ def test_constructor_rejects_bad_input():
         SimplicialGraph(5, ["a"])
     with pytest.raises(ValueError, match="invalid vertex identifier"):
         SimplicialGraph("G", ["a", "1b"])
+    with pytest.raises(ValueError, match=r"invalid vertex identifier \['b'\]"):
+        SimplicialGraph("G", ["a", ["b"]], orders={"a": 3})
     with pytest.raises(ValueError, match="order given for unknown vertex 'b'"):
         SimplicialGraph("G", ["a"], orders={"b": 3})
     with pytest.raises(ValueError, match="edge endpoint 'b' undeclared"):
         SimplicialGraph("G", ["a"], [("a", "b")])
     with pytest.raises(ValueError, match="edge endpoint 'b' undeclared"):
         SimplicialGraph("G", ["a"], [("b", "a")])
+    # a trailing newline is not part of an identifier: serialize_graph would
+    # write text that parse_graph rejects
+    with pytest.raises(ValueError, match=r"invalid graph name 'G\\n'"):
+        SimplicialGraph("G\n", ["a", "b"])
+    with pytest.raises(ValueError, match=r"invalid vertex identifier 'a\\n'"):
+        SimplicialGraph("G", ["a\n", "b"], [("a\n", "b")])
+
+
+def _random_declarations(rng):
+    """(kind, a, b) declarations of a graph in the constructor's order: a
+    graph line, vertices with an order or None, then edges among them.
+    Six draws in seven break one rule, each of the six rules as often."""
+    names = rng.sample(["a", "b", "c", "d", "f", "x_1", "_y", "Z9"], rng.randint(1, 6))
+    n = len(names)
+    decls = [("graph", "G", None)]
+    decls += [("vertex", v, rng.choice([None, 2, 3, 5])) for v in names]
+    decls += [("edge", u, v) for u, v in combinations(names, 2) if rng.random() < 0.4]
+    v = rng.choice(names)
+    broken = rng.choice(["none", "name", "identifier", "duplicate", "order",
+                         "loop", "undeclared"])
+    if broken == "name":
+        decls[0] = ("graph", rng.choice(["1G", "G-1", "\u00e9"]), None)
+    elif broken == "identifier":
+        i = rng.randint(1, n)
+        decls[i] = ("vertex", rng.choice(["1a", "a-b", "\u00fc"]), decls[i][2])
+    elif broken == "duplicate":
+        decls.insert(rng.randint(2, n + 1), ("vertex", v, None))
+    elif broken == "order":
+        i = rng.randint(1, n)
+        decls[i] = ("vertex", decls[i][1], rng.choice([0, 1]))
+    elif broken == "loop":
+        decls.insert(rng.randint(n + 1, len(decls)), ("edge", v, v))
+    elif broken == "undeclared":
+        pair = rng.sample([v, "q"], 2)
+        decls.insert(rng.randint(n + 1, len(decls)), ("edge", *pair))
+    return decls
+
+
+def test_parser_and_constructor_apply_one_rule_set():
+    """On the same declarations, parse_graph and the constructor build
+    equal graphs or fail with the same message, the parser's carrying the
+    line of the declaration that breaks the rule."""
+    rng = random.Random(2801)
+    failures = 0
+    for _ in range(400):
+        decls = _random_declarations(rng)
+        lines = [f"{kind} {a}" if b is None else
+                 f"vertex {a} order={b}" if kind == "vertex" else f"{kind} {a} {b}"
+                 for kind, a, b in decls]
+        vertices = [a for kind, a, _ in decls if kind == "vertex"]
+        orders = {a: b for kind, a, b in decls if kind == "vertex" and b is not None}
+        edges = [(a, b) for kind, a, b in decls if kind == "edge"]
+        try:
+            parsed = parse_graph("\n".join(lines))
+        except GGParseError as exc:
+            parsed = exc
+        try:
+            built = SimplicialGraph(decls[0][1], vertices, edges, orders)
+        except ValueError as exc:
+            built = exc
+        if isinstance(built, ValueError):
+            failures += 1
+            assert isinstance(parsed, GGParseError), lines
+            assert getattr(built, "line", None) is None
+            assert str(parsed) == f"line {parsed.line}: {built}", lines
+        else:
+            assert parsed == built, lines
+    assert 250 < failures < 400
+
+
+def test_parse_matches_each_identifier_once(monkeypatch):
+    """The identifier pattern runs once per declared name, not once in the
+    parser and again in the constructor."""
+    matched = []
+    pattern = graphs_module._ID_RE
+
+    class Counting:
+        def __getattr__(self, method):
+            def counted(text, *args):
+                matched.append(text)
+                return getattr(pattern, method)(text, *args)
+            return counted
+
+    monkeypatch.setattr(graphs_module, "_ID_RE", Counting())
+    parse_graph(SQ4_SRC)
+    assert sorted(matched) == ["SQ4", "a", "b", "c", "d"]
 
 
 def test_graph_is_immutable(corpus_graphs):

@@ -46,6 +46,9 @@ def test_parse_word(corpus_graphs):
     assert parse_word(sq4, "e").syllables == ()
     with pytest.raises(WordParseError):
         parse_word(sq4, "zz")
+    # the constructor checks the vertices, for parse_word and every caller
+    with pytest.raises(WordParseError, match="unknown vertex 'zz'"):
+        Word(sq4, [("a", 1), ("zz", 1)])
     with pytest.raises(WordParseError):
         parse_word(sq4, "a^2")  # order 2: exponents live in [0, 2)
     with pytest.raises(WordParseError):
