@@ -11,8 +11,12 @@ vertex of order 3 and its ball holds 5,000 .. 40,000 vertices.
 
 Printed per case: the ball's vertices and edges, its inner vertices (shorter
 than the radius) and outermost ones, the `words._push` and
-`words._last_syllables` calls of one build (counted in a separate run), and
-the best of N uncached builds in microseconds per ball vertex.
+`words._last_syllables` calls of one build (counted in a separate run), the
+best of N uncached builds in microseconds per ball vertex, and, for the
+electrified ball, its cone groups and cone edges, the best of N
+electrified builds over the plain ball (`geometry._electrify`, what
+`build_ball` runs when the plain ball is cached) and the best of N
+`cone_edge_count` calls, both in milliseconds.
 """
 
 import argparse
@@ -66,6 +70,16 @@ def counted(name, counts):
     return orig
 
 
+def best_of(repeat, run):
+    """The least of `repeat` wall times of run(), in seconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -86,13 +100,18 @@ def main():
             start = time.perf_counter()
             build_ball(g, r)
             best = min(best, time.perf_counter() - start)
+        eball = geometry._electrify(ball)
+        electrify = best_of(args.repeat, lambda: geometry._electrify(ball))
+        count = best_of(args.repeat, eball.cone_edge_count)
         outer = sum(1 for x in ball.verts if len(x) == r)
         orders = "".join(str(k) for k in g._orders_ix)
         print(f"{g.name:<11} r={r} orders {orders:<9} "
               f"vertices {ball.vertex_count:>6,} edges {ball.edge_count():>6,}  "
               f"inner {ball.vertex_count - outer:>6,} outer {outer:>6,}  "
               f"pushes {counts['_push']:>6,} scans {counts['_last_syllables']:>6,}  "
-              f"{best / ball.vertex_count * 1e6:6.2f} us/vertex")
+              f"{best / ball.vertex_count * 1e6:6.2f} us/vertex  "
+              f"groups {len(eball.cone_groups):>5,} cone edges {eball.cone_edge_count():>9,}  "
+              f"electrify {electrify * 1e3:6.2f} ms count {count * 1e3:6.2f} ms")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ square, and computes electrified distances on cone-off balls.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,13 +75,14 @@ class CayleyBall:
     """A breadth-first ball of given radius around the identity.
 
     Vertices are normal forms indexed in discovery order (identity first,
-    level by level).  `adj` holds plain Cayley edges only; when electrified,
+    level by level).  `adj` holds plain Cayley edges only, each vertex's
+    neighbours in the order the edges were recorded; when electrified,
     cone adjacency is kept as coset groups (each group is one minsquare
     parabolic coset restricted to the ball, coned to a clique).
     """
 
     def __init__(self, graph, radius, verts, index, adj, edge_label,
-                 electrified, cone_groups, groups_of_vertex):
+                 electrified, cone_groups):
         self.graph = graph
         self.radius = radius
         self.verts = verts
@@ -91,7 +91,15 @@ class CayleyBall:
         self._edge_label = edge_label
         self.electrified = electrified
         self.cone_groups = cone_groups
-        self._groups_of_vertex = groups_of_vertex
+        # vertex -> the indices of its groups, in index order; no table
+        # when there are no groups
+        gov = ()
+        if cone_groups:
+            gov = [() for _ in verts]
+            for gi, group in enumerate(cone_groups):
+                for i in group:
+                    gov[i] += (gi,)
+        self._groups_of_vertex = gov
         self._edge_hyp = None
 
     # --- basic queries ----------------------------------------------------
@@ -101,9 +109,11 @@ class CayleyBall:
         return len(self.verts)
 
     def __contains__(self, nf):
-        return nf.sylls in self._index
+        return nf.graph == self.graph and nf.sylls in self._index
 
     def index_of(self, nf):
+        if nf.graph != self.graph:
+            raise GraphMismatchError(f"{nf} is over a graph other than the ball's")
         try:
             return self._index[nf.sylls]
         except KeyError:
@@ -135,25 +145,17 @@ class CayleyBall:
                         yield i, j
 
     def cone_edge_count(self):
-        """The number of cone edges, counted without listing them: for each
-        vertex i, the j > i sharing a group with it.  In one group those are
-        the group's members after i (groups are in index order); only a
-        vertex in several groups needs the union of their later members."""
+        """The number of cone edges, counted without listing them: half the
+        sum of the vertices' cone degrees, a vertex's degree being the size
+        of the union of its groups less one."""
         groups = self.cone_groups
-        gov = self._groups_of_vertex
-        count = 0
-        for gi, group in enumerate(groups):
-            size = len(group)
-            for a, i in enumerate(group):
-                mine = gov[i]
-                if len(mine) == 1:
-                    count += size - a - 1
-                elif mine[0] == gi:
-                    later = set()
-                    for g in mine:
-                        later.update(groups[g][bisect_right(groups[g], i):])
-                    count += len(later)
-        return count
+        degrees = 0
+        for mine in self._groups_of_vertex:
+            if len(mine) == 1:
+                degrees += len(groups[mine[0]]) - 1
+            elif mine:
+                degrees += len(set().union(*(groups[g] for g in mine))) - 1
+        return degrees // 2
 
     # --- metrics ----------------------------------------------------------
 
@@ -176,6 +178,7 @@ class CayleyBall:
         adj = self.adj
         cone_groups = self.cone_groups
         groups_of_vertex = self._groups_of_vertex
+        cones = cones and bool(cone_groups)
         dist = [-1] * self.vertex_count
         dist[source] = 0
         used_group = [False] * len(cone_groups)
@@ -257,7 +260,12 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
 
     Every skipped product was either discarded or a repeat of an edge
     already recorded, so vertex order, edge order and cap outcome are those
-    of the sweep over all products.
+    of the sweep over all products.  Each edge is recorded once, from its
+    lower-index end: that end is swept first and always forms the product
+    (a growth from the shorter end, or an amalgamation, which both ends of
+    a level form), so the edges keep the order in which the sweep first
+    meets them, and `_coset_heads` relies on that order.  Each vertex
+    lists its neighbours in that order too.
 
     On the outermost level only amalgamations remain, and an amalgamation
     needs a vertex of order above 2.  So an outermost vertex reads only its
@@ -338,41 +346,31 @@ def _sweep(graph, radius, max_vertices):
                 iy = len(verts)
                 verts.append(NormalForm(graph, y))
                 index[y] = iy
-            key = (ix, iy) if ix < iy else (iy, ix)
-            edge_label.setdefault(key, name)
+            elif iy < ix:
+                continue  # recorded while y was swept
+            edge_label[ix, iy] = name
     adj = [[] for _ in verts]
     for (i, j) in edge_label:
         adj[i].append(j)
         adj[j].append(i)
-    adj = tuple(tuple(sorted(nb)) for nb in adj)
-    return CayleyBall(graph, radius, tuple(verts), index, adj, edge_label,
-                      False, (), tuple(() for _ in verts))
+    return CayleyBall(graph, radius, tuple(verts), index,
+                      tuple(map(tuple, adj)), edge_label, False, ())
 
 
 def _electrify(ball):
     """The electrified ball over a plain one: its structures shared, the
     minsquare cosets found from the edges (see `_coset_heads`).  A
-    square-free graph has no cosets to find: its electrified ball also
-    shares the plain ball's empty group table."""
+    square-free graph has no cosets to find, so its edges are not read."""
     graph = ball.graph
-    verts = ball.verts
     masks = [lam.mask for lam in minsquare_subgraphs(graph)]
-    if not masks:
-        return CayleyBall(graph, ball.radius, verts, ball._index, ball.adj,
-                          ball._edge_label, True, (), ball._groups_of_vertex)
     cone_groups = []
-    for head in _coset_heads(ball, masks):
+    for head in _coset_heads(ball, masks) if masks else ():
         groups = {}
         for i, h in enumerate(head):
             groups.setdefault(h, []).append(i)
         cone_groups.extend(tuple(g) for g in groups.values() if len(g) >= 2)
-    gov = [[] for _ in verts]
-    for gi, group in enumerate(cone_groups):
-        for i in group:
-            gov[i].append(gi)
-    return CayleyBall(graph, ball.radius, verts, ball._index, ball.adj,
-                      ball._edge_label, True, tuple(cone_groups),
-                      tuple(tuple(g) for g in gov))
+    return CayleyBall(graph, ball.radius, ball.verts, ball._index, ball.adj,
+                      ball._edge_label, True, tuple(cone_groups))
 
 
 def _coset_heads(ball, masks):

@@ -330,7 +330,8 @@ def brute_is_isometric(grid):
 def brute_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP):
     """`geometry.build_ball` as a sweep over all products: every vertex is
     multiplied by every generator through `multiply`, and the products past
-    the radius are discarded."""
+    the radius are discarded.  An edge is recorded when it is first met,
+    and each vertex lists its neighbours in the order of the edges."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
@@ -359,9 +360,7 @@ def brute_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     for (i, j) in edge_label:
         adj[i].append(j)
         adj[j].append(i)
-    adj = tuple(tuple(sorted(nb)) for nb in adj)
     cone_groups = ()
-    groups_of_vertex = tuple(() for _ in verts)
     if electrified:
         groups = {}
         for mi, lam in enumerate(minsquare_subgraphs(graph)):
@@ -370,13 +369,8 @@ def brute_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
                 rep = _coset_rep(x, mask)
                 groups.setdefault((mi, rep.sylls), []).append(i)
         cone_groups = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
-        gov = [[] for _ in verts]
-        for gi, group in enumerate(cone_groups):
-            for i in group:
-                gov[i].append(gi)
-        groups_of_vertex = tuple(tuple(g) for g in gov)
-    return CayleyBall(graph, radius, tuple(verts), index, adj, edge_label,
-                      electrified, cone_groups, groups_of_vertex)
+    return CayleyBall(graph, radius, tuple(verts), index,
+                      tuple(map(tuple, adj)), edge_label, electrified, cone_groups)
 
 
 def brute_cone_edges(ball):

@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from graphprod.geometry import (
     transverse,
 )
 from graphprod.graphs import (
+    GraphMismatchError,
     SimplicialGraph,
     induced_squares,
     parse_graph,
@@ -165,7 +166,7 @@ def _ball_outcome(build, g, radius, electrified, cap):
     except BallCapExceeded as exc:
         return ("cap", exc.cap, exc.radius_reached, str(exc))
     return (b.verts, list(b._edge_label.items()), list(b._index.items()),
-            b.adj, b.cone_groups, b._groups_of_vertex)
+            b.adj, b.cone_groups)
 
 
 def _graphs_with_pieces(rng, count):
@@ -211,6 +212,38 @@ def test_ball_matches_sweep_over_all_products(corpus_graphs):
         if flat and len(minsquare_subgraphs(g)) >= 2:
             with_pieces += 1
     assert with_pieces >= 20
+
+
+def _all_labelled_graphs(max_n, orders):
+    """Every graph on the vertices a, b, ... (at most max_n of them) with
+    each vertex order drawn from `orders`."""
+    for n in range(1, max_n + 1):
+        verts = "abcde"[:n]
+        pairs = list(combinations(verts, 2))
+        for bits in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
+            for ks in product(orders, repeat=n):
+                name = f"L{n}_{bits}_{''.join(map(str, ks))}"
+                yield SimplicialGraph(name, verts, edges, dict(zip(verts, ks)))
+
+
+def test_ball_matches_sweep_over_all_products_on_every_small_graph():
+    graphs = list(_all_labelled_graphs(5, (2,))) + list(_all_labelled_graphs(4, (2, 3)))
+    assert len(graphs) == 1099 + 1098
+    in_level = coned = 0
+    for g in graphs:
+        want = brute_ball(g, 2, True)
+        plain = build_ball(g, 2)
+        ball = build_ball(g, 2, True)
+        for b in (plain, ball):
+            assert (b.verts, list(b._edge_label.items()), b.adj) == \
+                (want.verts, list(want._edge_label.items()), want.adj), g
+        assert plain.cone_groups == () and plain.cone_edge_count() == 0, g
+        assert ball.cone_groups == want.cone_groups, g
+        assert ball.cone_edge_count() == sum(1 for _ in brute_cone_edges(want)), g
+        in_level += any(ball.level(i) == ball.level(j) for i, j, _ in ball.edges())
+        coned += bool(ball.cone_groups)
+    assert in_level > 0 and coned > 0
 
 
 def test_ball_sweep_computes_only_products_in_the_ball(monkeypatch, corpus_graphs):
@@ -383,6 +416,17 @@ def test_ball_membership_queries(balls3):
     assert rw(g, "a c a c") not in ball
     with pytest.raises(ValueError):
         ball.index_of(rw(g, "a c a c"))
+
+
+def test_ball_refuses_forms_of_another_graph(corpus_graphs):
+    # `a b` over C5 has the syllables of `a b` over SQ4, a ball vertex
+    ball = build_ball(corpus_graphs["SQ4"], 2)
+    x = rw(corpus_graphs["C5"], "a b")
+    assert x.sylls in ball._index
+    assert x not in ball
+    with pytest.raises(GraphMismatchError):
+        ball.index_of(x)
+    assert issubclass(GraphMismatchError, ValueError)
 
 
 # --- hyperplanes --------------------------------------------------------------
