@@ -16,7 +16,14 @@ best of N uncached builds in microseconds per ball vertex, and, for the
 electrified ball, its cone groups and cone edges, the best of N
 electrified builds over the plain ball (`geometry._electrify`, what
 `build_ball` runs when the plain ball is cached) and the best of N
-`cone_edge_count` calls, both in milliseconds.
+`cone_edge_count` calls, both in milliseconds.  A second row per case
+times the ball's queries: the best of N `edge_hyperplanes` computations in
+milliseconds, and `separating_hyperplanes` in microseconds per call, best
+of N runs over PAIRS member pairs drawn with random.Random(S).
+
+Last come the flat grids: `FlatGrid.is_isometric` on the `flat_witness`
+grid over the square a, b, c, d of SQ4 at each size in FLAT_SIZES, with
+its `words._push` calls and the best of N checks in milliseconds.
 """
 
 import argparse
@@ -26,13 +33,20 @@ from itertools import combinations
 
 import graphprod.geometry as geometry
 from graphprod.corpus import load
-from graphprod.geometry import BallCapExceeded, build_ball
+from graphprod.geometry import (
+    BallCapExceeded,
+    build_ball,
+    flat_witness,
+    separating_hyperplanes,
+)
 from graphprod.graphs import SimplicialGraph
 
 # radius -> (least n, greatest n, least p, greatest p)
 FAMILIES = {4: (6, 9, 0.15, 0.5), 5: (5, 9, 0.25, 0.6),
             6: (4, 8, 0.3, 0.7), 7: (4, 7, 0.35, 0.8)}
 SIZES = (5_000, 40_000)
+PAIRS = 200
+FLAT_SIZES = (8, 20, 40)
 
 
 def random_case(rng, radius):
@@ -68,6 +82,18 @@ def counted(name, counts):
 
     setattr(geometry, name, run)
     return orig
+
+
+def fresh_hyperplanes(ball):
+    """The ball's edge hyperplanes, computed again rather than read from
+    its cache."""
+    ball._edge_hyp = None
+    return ball.edge_hyperplanes()
+
+
+def separate_all(pairs):
+    for x, y in pairs:
+        separating_hyperplanes(x, y)
 
 
 def best_of(repeat, run):
@@ -112,6 +138,23 @@ def main():
               f"{best / ball.vertex_count * 1e6:6.2f} us/vertex  "
               f"groups {len(eball.cone_groups):>5,} cone edges {eball.cone_edge_count():>9,}  "
               f"electrify {electrify * 1e3:6.2f} ms count {count * 1e3:6.2f} ms")
+        hyp = best_of(args.repeat, lambda: fresh_hyperplanes(ball))
+        verts = ball.verts
+        pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(PAIRS)]
+        sep = best_of(args.repeat, lambda: separate_all(pairs))
+        print(f"{'':<11} queries: hyperplanes {len(set(ball.edge_hyperplanes().values())):>6,}  "
+              f"edge_hyperplanes {hyp * 1e3:6.2f} ms  "
+              f"separating_hyperplanes {sep / PAIRS * 1e6:6.2f} us/call")
+    sq4 = load("SQ4")
+    for size in FLAT_SIZES:
+        grid = flat_witness(sq4, ("a", "c"), ("b", "d"), size)
+        counts = {"_push": 0}
+        orig = counted("_push", counts)
+        assert grid.is_isometric()
+        geometry._push = orig
+        check = best_of(args.repeat, grid.is_isometric)
+        print(f"SQ4 flat size {size:>2}  pushes {counts['_push']:>9,}  "
+              f"is_isometric {check * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from graphprod.geometry import (
     BallCapExceeded,
     CayleyBall,
     HyperplaneId,
-    _star_masks,
 )
 from graphprod.graphs import (
     _LEX_ORDER_MAX_N,
@@ -268,6 +267,12 @@ def edge_class_partition(ball):
     for e, k in zip(edges, union_find(len(edges), joins)):
         classes.setdefault(k, set()).add(e)
     return {frozenset(c) for c in classes.values()}
+
+
+def _star_masks(g):
+    """Vertex name -> bitmask of its star (the vertex and its neighbours)."""
+    adj = g._adj_bits
+    return {name: adj[v] | 1 << v for v, name in enumerate(g.vertices)}
 
 
 def brute_edge_hyperplanes(ball):

@@ -636,6 +636,15 @@ def test_transverse_examples(corpus_graphs, balls3):
         transverse(far, ja, ball)
 
 
+def test_transverse_checks_ids_before_comparing_them(corpus_graphs, balls3):
+    # a hyperplane with no edge in the ball is refused also when paired
+    # with itself
+    sq4 = corpus_graphs["SQ4"]
+    far = hyperplane_of_edge(rw(sq4, "c a c"), "a")
+    with pytest.raises(ValueError, match="has no edge inside the ball"):
+        transverse(far, far, balls3["SQ4"])
+
+
 def test_transverse_labels_adjacent(balls3):
     # transverse hyperplanes carry adjacent labels; check over all id pairs
     for name in ("SQ4", "CONE", "K4"):
@@ -737,6 +746,54 @@ def test_is_isometric_multiplies_per_step_not_per_pair(products, corpus_graphs):
     products.clear()
     assert grid.is_isometric()
     assert len(products) <= 4 * 49
+
+
+def _alternating_axis(rng, g, u, v, size):
+    """Prefixes of the word u^e1 v^e2 u^e3 ... of `size` syllables, each
+    exponent drawn from 1 .. order - 1."""
+    out, sylls = [identity(g)], []
+    for k in range(size):
+        w = (u, v)[k % 2]
+        sylls.append((w, rng.randint(1, g.order(w) - 1)))
+        out.append(reduce_word(Word(g, sylls)))
+    return tuple(out)
+
+
+def test_is_isometric_walks_each_row_start_once(monkeypatch, corpus_graphs):
+    # a witness grid alternates its axes, so each column meets at most 2p
+    # row starts: about size^3 pushes (4,680), where walking every start
+    # took 14,196
+    pushes = []
+    push = words._push
+
+    def counting_push(g, out, s):
+        pushes.append(s)
+        push(g, out, s)
+
+    grid = flat_witness(corpus_graphs["SQ4"], ("a", "c"), ("b", "d"), 12)
+    monkeypatch.setattr(geometry, "_push", counting_push)
+    assert grid.is_isometric()
+    assert len(pushes) <= 3 * 13 ** 3
+
+
+def test_is_isometric_hand_built_alternating_grids_match_oracle():
+    # over a square of order-3 vertices, exponents drawn from {1, 2} make
+    # row starts rarely repeat, so most rows are walked; over a path the
+    # same axes span no square, and the grids are not flat
+    rng = random.Random(3003)
+    square = SimplicialGraph("SQ_O3", list("abcd"),
+                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+                             {v: 3 for v in "abcd"})
+    path = SimplicialGraph("P_O3", list("abcd"),
+                           [("a", "b"), ("b", "c"), ("c", "d")],
+                           {v: 3 for v in "abcd"})
+    for g, sizes, want in ((square, (3, 6, 9), True), (path, (3, 6), False)):
+        for size in sizes:
+            grid = FlatGrid(origin=random_element(rng, g, 3),
+                            horizontal=_alternating_axis(rng, g, "a", "c", size),
+                            vertical=_alternating_axis(rng, g, "b", "d", size),
+                            size=(size, size))
+            assert grid.is_isometric() is brute_is_isometric(grid) is want, (g, size)
 
 
 # --- electrification ---------------------------------------------------------------
