@@ -18,6 +18,7 @@ from .graphs import GraphMismatchError, is_star_of_vertex
 from .squares import minsquare_subgraphs
 from .words import (
     NormalForm,
+    _coset_prefix,
     _coset_rep,
     _last_syllables,
     _push,
@@ -217,14 +218,13 @@ class CayleyBall:
             # label -> (its head table, its ids by head, filled on first use)
             tables = {name: (head, [None] * len(verts))
                       for name, head in zip(g.vertices, heads)}
-            new = tuple.__new__  # what HyperplaneId(...) runs, less a call
             ids = []
             for (i, _), lab in self._edge_label.items():
                 head, id_of = tables[lab]
                 k = head[i]
                 h = id_of[k]
                 if h is None:
-                    h = id_of[k] = new(HyperplaneId, (lab, verts[k]))
+                    h = id_of[k] = HyperplaneId(lab, verts[k])
                 ids.append(h)
             self._edge_hyp = dict(zip(self._edge_label, ids))
         return self._edge_hyp
@@ -425,32 +425,18 @@ def separating_hyperplanes(x, y):
     The walk keeps the current vertex as a syllable list and pushes the
     syllables of x^-1 y onto it one at a time, so the only full product is
     x^-1 y itself.  Each carrier is the coset representative of the list
-    before its syllable s = (v, e) is pushed: the list less its maximal
-    suffix in star(v), found by the backward scan of `words._split_suffix`
-    keeping the prefix alone."""
+    before its syllable (v, e) is pushed: the list less its maximal suffix
+    in star(v), by `words._coset_prefix`."""
     w = multiply(invert(x), y)
     g = x.graph
     names = g.vertices
     adj = g._adj_bits
-    new = tuple.__new__  # what HyperplaneId(...) runs, less a call
     out = []
     cur = list(x.sylls)
     for s in w.sylls:
         v = s[0]
-        cand = adj[v] | 1 << v
-        rest = []
-        moved = False
-        k = len(cur)
-        while cand and k:
-            k -= 1
-            t = cur[k]
-            if cand >> t[0] & 1:
-                moved = True
-            else:
-                cand &= adj[t[0]]
-                rest.append(t)
-        pre = (*cur[:k], *reversed(rest)) if moved else tuple(cur)
-        out.append(new(HyperplaneId, (names[v], NormalForm(g, pre))))
+        pre = _coset_prefix(g, cur, adj[v] | 1 << v)
+        out.append(HyperplaneId(names[v], NormalForm(g, pre)))
         _push(g, cur, s)
     return tuple(out)
 

@@ -387,11 +387,32 @@ def _split_suffix(g, sylls, allowed_mask):
     return (*sylls[:k], *reversed(rest)), suf[::-1]
 
 
+def _coset_prefix(g, sylls, allowed_mask):
+    """The rest half of `_split_suffix` alone, by the same backward scan,
+    with no suffix list built: `tuple(sylls)` when no syllable joins the
+    suffix.  This is the coset-representative rule of `_coset_rep` and of
+    each carrier of `geometry.separating_hyperplanes`."""
+    adj = g._adj_bits
+    rest = []
+    moved = False
+    cand = allowed_mask
+    k = len(sylls)
+    while cand and k:
+        k -= 1
+        s = sylls[k]
+        v = s[0]
+        if cand >> v & 1:
+            moved = True
+        else:
+            cand &= adj[v]
+            rest.append(s)
+    return (*sylls[:k], *reversed(rest)) if moved else tuple(sylls)
+
+
 def _coset_rep(x, allowed_mask):
     """The minimal-length representative of the coset x<s>, for s given by
     its vertex mask: the prefix half of strip_suffix alone."""
-    pre, _ = _split_suffix(x.graph, x.sylls, allowed_mask)
-    return NormalForm(x.graph, pre)
+    return NormalForm(x.graph, _coset_prefix(x.graph, x.sylls, allowed_mask))
 
 
 def strip_suffix(x, s):

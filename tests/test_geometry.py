@@ -738,6 +738,22 @@ def test_is_isometric_matches_pairwise_oracle(corpus_graphs):
         answers.append(grid.is_isometric())
         assert answers[-1] is brute_is_isometric(grid)
     assert answers.count(False) >= 200 and answers.count(True) >= 10
+    # order-3 vertices with axes u^e1 v^e2 u^e3 ..., exponents drawn from
+    # {1, 2}: steps that invert exponents, and row starts that seldom
+    # repeat, so most rows are walked in full.  Over a square the grids are
+    # flat; over a path the same axes span no square.
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    square = SimplicialGraph("SQ_O3", list("abcd"), edges, {v: 3 for v in "abcd"})
+    path = SimplicialGraph("P_O3", list("abcd"), edges[:3], {v: 3 for v in "abcd"})
+    for g, sizes, want in ((square, (3, 6, 9), True), (path, (3, 6), False)):
+        for size in sizes:
+            axes = []
+            for u, v in (("a", "c"), ("b", "d")):
+                sylls = [((u, v)[k % 2], rng.randint(1, 2)) for k in range(size)]
+                axes.append(tuple(reduce_word(Word(g, sylls[:k])) for k in range(size + 1)))
+            grid = FlatGrid(origin=random_element(rng, g, 3), horizontal=axes[0],
+                            vertical=axes[1], size=(size, size))
+            assert grid.is_isometric() is brute_is_isometric(grid) is want, (g, size)
 
 
 def test_is_isometric_multiplies_per_step_not_per_pair(products, corpus_graphs):
@@ -746,17 +762,6 @@ def test_is_isometric_multiplies_per_step_not_per_pair(products, corpus_graphs):
     products.clear()
     assert grid.is_isometric()
     assert len(products) <= 4 * 49
-
-
-def _alternating_axis(rng, g, u, v, size):
-    """Prefixes of the word u^e1 v^e2 u^e3 ... of `size` syllables, each
-    exponent drawn from 1 .. order - 1."""
-    out, sylls = [identity(g)], []
-    for k in range(size):
-        w = (u, v)[k % 2]
-        sylls.append((w, rng.randint(1, g.order(w) - 1)))
-        out.append(reduce_word(Word(g, sylls)))
-    return tuple(out)
 
 
 def test_is_isometric_walks_each_row_start_once(monkeypatch, corpus_graphs):
@@ -774,26 +779,6 @@ def test_is_isometric_walks_each_row_start_once(monkeypatch, corpus_graphs):
     monkeypatch.setattr(geometry, "_push", counting_push)
     assert grid.is_isometric()
     assert len(pushes) <= 3 * 13 ** 3
-
-
-def test_is_isometric_hand_built_alternating_grids_match_oracle():
-    # over a square of order-3 vertices, exponents drawn from {1, 2} make
-    # row starts rarely repeat, so most rows are walked; over a path the
-    # same axes span no square, and the grids are not flat
-    rng = random.Random(3003)
-    square = SimplicialGraph("SQ_O3", list("abcd"),
-                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
-                             {v: 3 for v in "abcd"})
-    path = SimplicialGraph("P_O3", list("abcd"),
-                           [("a", "b"), ("b", "c"), ("c", "d")],
-                           {v: 3 for v in "abcd"})
-    for g, sizes, want in ((square, (3, 6, 9), True), (path, (3, 6), False)):
-        for size in sizes:
-            grid = FlatGrid(origin=random_element(rng, g, 3),
-                            horizontal=_alternating_axis(rng, g, "a", "c", size),
-                            vertical=_alternating_axis(rng, g, "b", "d", size),
-                            size=(size, size))
-            assert grid.is_isometric() is brute_is_isometric(grid) is want, (g, size)
 
 
 # --- electrification ---------------------------------------------------------------

@@ -14,6 +14,7 @@ from graphprod.geometry import build_ball, electrified_distance, hyperplane_of_e
 from graphprod.graphs import GraphMismatchError, SimplicialGraph, parse_graph
 from graphprod.words import (
     Word,
+    _coset_prefix,
     _split_suffix,
     WordParseError,
     format_word,
@@ -310,6 +311,7 @@ def test_split_suffix_early_stop_matches_full_scan():
                 pre, suf = _split_suffix(g, x, mask)
                 full_pre, full_suf = brute_split_suffix(g, x, mask)
                 assert (pre, suf) == (tuple(full_pre), full_suf)
+                assert _coset_prefix(g, x, mask) == pre
 
 
 def test_projection_examples(corpus_graphs):
