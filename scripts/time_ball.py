@@ -18,8 +18,11 @@ electrified builds over the plain ball (`geometry._electrify`, what
 `build_ball` runs when the plain ball is cached) and the best of N
 `cone_edge_count` calls, both in milliseconds.  A second row per case
 times the ball's queries: the best of N `edge_hyperplanes` computations in
-milliseconds, and `separating_hyperplanes` in microseconds per call, best
-of N runs over PAIRS member pairs drawn with random.Random(S).
+milliseconds, beside the edges that feed every star table in its
+`geometry._star_heads` pass (those whose lower end lies below level R - 1,
+R the radius; later edges feed only the tables of vertices of order above
+2) against all edges, and `separating_hyperplanes` in microseconds per
+call, best of N runs over PAIRS member pairs drawn with random.Random(S).
 
 Last come the flat grids: `FlatGrid.is_isometric` on the `flat_witness`
 grid over the square a, b, c, d of SQ4 at each size in FLAT_SIZES, with
@@ -139,11 +142,13 @@ def main():
               f"groups {len(eball.cone_groups):>5,} cone edges {eball.cone_edge_count():>9,}  "
               f"electrify {electrify * 1e3:6.2f} ms count {count * 1e3:6.2f} ms")
         hyp = best_of(args.repeat, lambda: fresh_hyperplanes(ball))
+        fed = sum(1 for i, _, _ in ball.edges() if ball.level(i) < r - 1)
         verts = ball.verts
         pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(PAIRS)]
         sep = best_of(args.repeat, lambda: separate_all(pairs))
         print(f"{'':<11} queries: hyperplanes {len(set(ball.edge_hyperplanes().values())):>6,}  "
-              f"edge_hyperplanes {hyp * 1e3:6.2f} ms  "
+              f"edge_hyperplanes {hyp * 1e3:6.2f} ms "
+              f"(all stars fed by {fed:>6,} of {ball.edge_count():>6,} edges)  "
               f"separating_hyperplanes {sep / PAIRS * 1e6:6.2f} us/call")
     sq4 = load("SQ4")
     for size in FLAT_SIZES:

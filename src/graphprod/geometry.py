@@ -71,6 +71,11 @@ class HyperplaneId(NamedTuple):
         return f"Hyp({self.label}|{format_word(self.coset)})"
 
 
+# Every HyperplaneId is built as _new_id(HyperplaneId, (label, coset)): the
+# construction NamedTuple's own __new__ performs, without its Python frame.
+_new_id = tuple.__new__
+
+
 class CayleyBall:
     """A breadth-first ball of given radius around the identity.
 
@@ -204,29 +209,28 @@ class CayleyBall:
     # --- hyperplanes --------------------------------------------------------
 
     def edge_hyperplanes(self):
-        """Map each plain edge (i, j) to its HyperplaneId (cached).  A
-        u-labelled edge at x is dual to the hyperplane carried by the coset
-        x<star(u)>, named by that coset's head: one `_coset_heads` pass over
-        the masks of all stars (the proof is there), and the edge's id read
-        from the table of its label, a list indexed by head.  Edges of one
-        label and head share one id."""
+        """Map each plain edge (i, j) to its HyperplaneId (cached), in edge
+        order.  A u-labelled edge at x is dual to the hyperplane carried by
+        the coset x<star(u)>, named by that coset's head: one `_star_heads`
+        pass finds, for each label, the heads at the lower ends of its
+        edges (the proof is there), and each edge's id is read from a list
+        per label indexed by head.  Edges of one label and head share one
+        id, built once."""
         if self._edge_hyp is None:
-            g = self.graph
             verts = self.verts
-            adj = g._adj_bits
-            heads = _coset_heads(self, [adj[v] | 1 << v for v in range(g.n)])
             # label -> (its head table, its ids by head, filled on first use)
-            tables = {name: (head, [None] * len(verts))
-                      for name, head in zip(g.vertices, heads)}
-            ids = []
-            for (i, _), lab in self._edge_label.items():
+            tables = {name: (head, [None] * len(head))
+                      for name, head in _star_heads(self).items()}
+            new_id = _new_id
+            hyp = {}
+            for e, lab in self._edge_label.items():
                 head, id_of = tables[lab]
-                k = head[i]
+                k = head[e[0]]
                 h = id_of[k]
                 if h is None:
-                    h = id_of[k] = HyperplaneId(lab, verts[k])
-                ids.append(h)
-            self._edge_hyp = dict(zip(self._edge_label, ids))
+                    h = id_of[k] = new_id(HyperplaneId, (lab, verts[k]))
+                hyp[e] = h
+            self._edge_hyp = hyp
         return self._edge_hyp
 
     def __repr__(self):
@@ -268,8 +272,8 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     lower-index end: that end is swept first and always forms the product
     (a growth from the shorter end, or an amalgamation, which both ends of
     a level form), so the edges keep the order in which the sweep first
-    meets them, and `_coset_heads` relies on that order.  Each vertex
-    lists its neighbours in that order too.
+    meets them, and `_coset_heads` and `_star_heads` rely on that order.
+    Each vertex lists its neighbours in that order too.
 
     On the outermost level only amalgamations remain, and an amalgamation
     needs a vertex of order above 2.  So an outermost vertex reads only its
@@ -381,7 +385,7 @@ def _coset_heads(ball, masks):
     """For each vertex mask, one table giving for each ball vertex x the
     index of its coset's head: the shortest member of x<mask>, for the
     parabolic subgroup the mask gives.  `_electrify` asks for the masks of
-    all minsquare pieces, `CayleyBall.edge_hyperplanes` for all stars.
+    all minsquare pieces and reads every entry.
 
     One pass over the ball's edges in recording order fills every table:
     an edge (i, j), i < j, labelled u sets head[j] = head[i] in each table
@@ -405,6 +409,76 @@ def _coset_heads(ball, masks):
     return heads
 
 
+def _star_heads(ball):
+    """Label name -> the head table of the cosets x<star(label)>: the table
+    `_coset_heads` makes for that star when the label has order above 2,
+    and that table cut before level R, the radius, when it has order 2.
+    These hold every entry `CayleyBall.edge_hyperplanes` reads.  It reads
+    the lower end i of each edge (i, j), and i lies on level R only when
+    the edge lies inside level R: an amalgamation, whose label has order
+    above 2.
+
+    Every table starts as a copy of one index list.  The pass runs over
+    the edges in recording order as `_coset_heads` does, with two rules on
+    which star tables holding an edge's label it feeds:
+
+    * the edges whose lower end lies below level R - 1 feed all of them.
+      They are a prefix of the recording order, since the sweep records
+      an edge while its lower end is swept;
+    * every later edge feeds only those of vertices of order above 2.
+      When there are none, nothing after the prefix is fed.
+
+    This is exact.  By `_coset_heads`, an entry is final once every edge
+    down into its level has fed its table, and an edge inside a level
+    changes nothing, since both of its ends already hold their head.  The
+    edges down into a level below R have their lower ends below level
+    R - 1, so they lie in the prefix and feed every table they would feed
+    there.  The edges down into level R come after the prefix and still
+    feed every table of order above 2 they would feed there."""
+    g = ball.graph
+    verts = ball.verts
+    orders = g._orders_ix
+    cut = _level_start(verts, ball.radius - 1)
+    outer = _level_start(verts, ball.radius)
+    index = list(range(len(verts)))
+    heads = [index[:] if k > 2 else index[:outer] for k in orders]
+    # label -> the tables whose star holds it, which are those of its own
+    # star, and the ones among them fed after the prefix
+    feeds, late = {}, {}
+    for v, name in enumerate(g.vertices):
+        star = [w for w in range(g.n) if (g._adj_bits[v] | 1 << v) >> w & 1]
+        feeds[name] = [heads[w] for w in star]
+        late[name] = [heads[w] for w in star if orders[w] > 2]
+    edges = iter(ball._edge_label.items())
+    for (i, j), lab in edges:
+        if i >= cut:
+            for head in late[lab]:
+                head[j] = head[i]
+            break
+        for head in feeds[lab]:
+            head[j] = head[i]
+    if any(late.values()):
+        for (i, j), lab in edges:
+            for head in late[lab]:
+                head[j] = head[i]
+    return dict(zip(g.vertices, heads))
+
+
+def _level_start(verts, level):
+    """The index of the first ball vertex of at least the given length, by
+    bisection, since vertices come level by level.  (`bisect.bisect_left`
+    with key=len would do it, but importing `bisect` took 0.44-0.52 ms by
+    `python -X importtime`, 2-vCPU VM, Python 3.11.)"""
+    lo, hi = 0, len(verts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if len(verts[mid]) < level:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # hyperplanes
 
@@ -414,7 +488,7 @@ def hyperplane_of_edge(x, u):
     coset x<star(u)>, stored by its minimal-length representative."""
     g = x.graph
     v = g.index(u)
-    return HyperplaneId(label=u, coset=_coset_rep(x, g._adj_bits[v] | 1 << v))
+    return _new_id(HyperplaneId, (u, _coset_rep(x, g._adj_bits[v] | 1 << v)))
 
 
 def separating_hyperplanes(x, y):
@@ -436,7 +510,7 @@ def separating_hyperplanes(x, y):
     for s in w.sylls:
         v = s[0]
         pre = _coset_prefix(g, cur, adj[v] | 1 << v)
-        out.append(HyperplaneId(names[v], NormalForm(g, pre)))
+        out.append(_new_id(HyperplaneId, (names[v], NormalForm(g, pre))))
         _push(g, cur, s)
     return tuple(out)
 

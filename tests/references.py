@@ -18,7 +18,7 @@ The benchmark never imports this module: the checks it runs live in
 peak memory.  New references go here, and may import from `oracles`.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from graphprod.geometry import (
     DEFAULT_VERTEX_CAP,
@@ -501,6 +501,23 @@ def make_random_graph(rng, max_n, max_order=3, name="R", p=None):
     edges = [(u, v) for u, v in combinations(verts, 2) if rng.random() < prob]
     orders = {v: rng.randint(2, max_order) for v in verts if rng.random() < 0.3}
     return SimplicialGraph(name, verts, edges, orders)
+
+
+# ---------------------------------------------------------------------------
+# every small graph
+
+
+def all_labelled_graphs(max_n, orders):
+    """Every graph on the vertices a, b, ... (at most max_n of them) with
+    each vertex order drawn from `orders`."""
+    for n in range(1, max_n + 1):
+        verts = "abcde"[:n]
+        pairs = list(combinations(verts, 2))
+        for bits in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
+            for ks in product(orders, repeat=n):
+                name = f"L{n}_{bits}_{''.join(map(str, ks))}"
+                yield SimplicialGraph(name, verts, edges, dict(zip(verts, ks)))
 
 
 # ---------------------------------------------------------------------------

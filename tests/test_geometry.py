@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -40,6 +40,7 @@ from graphprod.words import (
 
 from oracles import growth_counts
 from references import (
+    all_labelled_graphs,
     brute_ball,
     brute_cone_edges,
     brute_edge_hyperplanes,
@@ -214,22 +215,16 @@ def test_ball_matches_sweep_over_all_products(corpus_graphs):
     assert with_pieces >= 20
 
 
-def _all_labelled_graphs(max_n, orders):
-    """Every graph on the vertices a, b, ... (at most max_n of them) with
-    each vertex order drawn from `orders`."""
-    for n in range(1, max_n + 1):
-        verts = "abcde"[:n]
-        pairs = list(combinations(verts, 2))
-        for bits in range(1 << len(pairs)):
-            edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
-            for ks in product(orders, repeat=n):
-                name = f"L{n}_{bits}_{''.join(map(str, ks))}"
-                yield SimplicialGraph(name, verts, edges, dict(zip(verts, ks)))
+def _small_graphs():
+    """Every labelled graph with at most 5 vertices of order 2, and with at
+    most 4 vertices of orders 2 and 3."""
+    graphs = list(all_labelled_graphs(5, (2,))) + list(all_labelled_graphs(4, (2, 3)))
+    assert len(graphs) == 1099 + 1098
+    return graphs
 
 
 def test_ball_matches_sweep_over_all_products_on_every_small_graph():
-    graphs = list(_all_labelled_graphs(5, (2,))) + list(_all_labelled_graphs(4, (2, 3)))
-    assert len(graphs) == 1099 + 1098
+    graphs = _small_graphs()
     in_level = coned = 0
     for g in graphs:
         want = brute_ball(g, 2, True)
@@ -550,6 +545,38 @@ def test_edge_hyperplanes_match_per_edge_oracle(corpus_graphs):
     assert flat >= 20
 
 
+def test_edge_hyperplanes_match_per_edge_oracle_on_every_small_graph():
+    # past level R - 1 the star tables are fed only for vertices of order
+    # above 2; the balls whose outermost level has edges inside it (all at
+    # such vertices) read those tables there
+    outer_flat = {1: 0, 2: 0}
+    for g in _small_graphs():
+        for r in outer_flat:
+            ball = build_ball(g, r)
+            assert (list(ball.edge_hyperplanes().items())
+                    == list(brute_edge_hyperplanes(ball).items())), (g, r)
+            outer_flat[r] += any(ball.level(i) == r for i, _, _ in ball.edges())
+    assert min(outer_flat.values()) >= 1000
+
+
+def test_star_heads_are_coset_heads_where_kept(corpus_graphs):
+    # the table of a vertex of order above 2 is the `_coset_heads` table of
+    # its star; that of a vertex of order 2 is the same table cut before
+    # the outermost level
+    cut_short = 0
+    for ball in _hyperplane_cases(corpus_graphs)[::2]:  # the plain balls
+        g = ball.graph
+        stars = [g._adj_bits[v] | 1 << v for v in range(g.n)]
+        full = geometry._coset_heads(ball, stars)
+        inner = sum(1 for x in ball.verts if len(x) < ball.radius)
+        heads = geometry._star_heads(ball)
+        assert list(heads) == list(g.vertices)
+        for k, want, (name, head) in zip(g._orders_ix, full, heads.items()):
+            assert head == (want if k > 2 else want[:inner]), (ball, name)
+            cut_short += len(head) < len(want)
+    assert cut_short > 0
+
+
 def test_edge_hyperplanes_build_no_coset_rep(monkeypatch, corpus_graphs):
     calls = []
     coset_rep = geometry._coset_rep
@@ -588,16 +615,28 @@ def _count_coset_heads(monkeypatch):
 
 
 def test_one_coset_head_pass_per_structure(monkeypatch):
-    # one pass serves all minsquare pieces, and one all stars
+    # one pass serves all minsquare pieces, and one all stars: the stars
+    # have their own pass (`_star_heads`), which fills only what
+    # edge_hyperplanes reads, once per ball
     calls = _count_coset_heads(monkeypatch)
+    star_passes = []
+    star_heads = geometry._star_heads
+
+    def counting_star_heads(ball):
+        star_passes.append(ball)
+        return star_heads(ball)
+
+    monkeypatch.setattr(geometry, "_star_heads", counting_star_heads)
     for g in _graphs_with_pieces(random.Random(9909), 6):
         build_ball.cache_clear()
         build_ball(g, 2, electrified=True)
-        assert calls == [len(minsquare_subgraphs(g))]
+        assert calls == [len(minsquare_subgraphs(g))] and star_passes == []
         calls.clear()
-        build_ball(g, 2).edge_hyperplanes()
-        assert calls == [g.n]
-        calls.clear()
+        ball = build_ball(g, 2)
+        ball.edge_hyperplanes()
+        ball.edge_hyperplanes()
+        assert calls == [] and star_passes == [ball]
+        star_passes.clear()
 
 
 def test_hyperplane_matches_edge_classes(balls3):

@@ -652,21 +652,34 @@ def test_cli_distance_radius_without_electrified_exit_1(corpus_files, capsys):
     assert "--radius requires --electrified" in _one_line_error(capsys)
 
 
-def test_cli_ball_and_corpus_load_no_heavy_module():
-    # a fresh interpreter: the test process itself may have loaded them; -S
-    # keeps site's .pth files from importing modules the library does not
+def _heavy_modules_loaded(code):
+    """The heavy modules loaded after running `code` in a fresh interpreter:
+    the test process itself may have loaded them, and -S keeps site's .pth
+    files from importing modules the library does not."""
     heavy = ("numpy", "scipy", "dataclasses", "inspect", "importlib.resources")
-    code = ("import sys\n"
-            "import graphprod.cli\n"
-            "from graphprod import build_ball, corpus\n"
-            "ball = build_ball(corpus.load('SQ4'), 2, electrified=True)\n"
-            "ball.distances_from([0])\n"
-            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+    code += f"import sys\nprint(sorted(m for m in {heavy!r} if m in sys.modules))\n"
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_ball_and_corpus_load_no_heavy_module():
+    assert _heavy_modules_loaded(
+        "import graphprod.cli\n"
+        "from graphprod import build_ball, corpus\n"
+        "ball = build_ball(corpus.load('SQ4'), 2, electrified=True)\n"
+        "ball.distances_from([0])\n") == "[]"
+
+
+def test_cli_analyze_and_compare_load_no_heavy_module():
+    assert _heavy_modules_loaded(
+        "import graphprod.cli\n"
+        "from graphprod import analyze, compare, corpus\n"
+        "g = corpus.load('SQ4')\n"
+        "analyze(g).to_json()\n"
+        "compare(g, corpus.load('CONE')).to_json()\n") == "[]"
 
 
 def test_cli_flat(corpus_files, capsys):
