@@ -209,13 +209,13 @@ class CayleyBall:
     # --- hyperplanes --------------------------------------------------------
 
     def edge_hyperplanes(self):
-        """Map each plain edge (i, j) to its HyperplaneId (cached), in edge
-        order.  A u-labelled edge at x is dual to the hyperplane carried by
-        the coset x<star(u)>, named by that coset's head: one `_star_heads`
-        pass finds, for each label, the heads at the lower ends of its
-        edges (the proof is there), and each edge's id is read from a list
-        per label indexed by head.  Edges of one label and head share one
-        id, built once."""
+        """Map each plain edge (i, j) to its HyperplaneId (cached), in the
+        order the edges were recorded.  A u-labelled edge at x is dual to
+        the hyperplane carried by the coset x<star(u)>, named by that
+        coset's head: one `_star_heads` pass finds, for each label, the
+        heads at the lower ends of its edges (the proof is there), and each
+        edge's id is read from a list per label indexed by head.  Edges of
+        one label and head share one id, built once."""
         if self._edge_hyp is None:
             verts = self.verts
             # label -> (its head table, its ids by head, filled on first use)

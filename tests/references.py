@@ -11,7 +11,9 @@ word, set bits one lowest bit at a time, piece shapes through a dict of
 local indices, canonical graph keys by an individualization-refinement
 search with no pruning, the `analyze` and `compare` JSON by a dict for
 `json.dumps`, and finite-index subgroups by the Reidemeister-Schreier
-presentation of a retraction's kernel.
+presentation of a retraction's kernel.  `all_labelled_graphs` enumerates
+every small labelled graph, so that tests can run a reference on all of
+them rather than on a seeded sample.
 
 The benchmark never imports this module: the checks it runs live in
 `oracles.py`, which stays small because the benchmark pays for its size in
