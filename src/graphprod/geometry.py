@@ -71,8 +71,9 @@ class HyperplaneId(NamedTuple):
         return f"Hyp({self.label}|{format_word(self.coset)})"
 
 
-# Every HyperplaneId is built as _new_id(HyperplaneId, (label, coset)): the
-# construction NamedTuple's own __new__ performs, without its Python frame.
+# This module builds every HyperplaneId as _new_id(HyperplaneId, (label,
+# coset)): the construction NamedTuple's own __new__ performs, without its
+# Python frame.
 _new_id = tuple.__new__
 
 
