@@ -15,14 +15,16 @@ than the radius) and outermost ones, the `words._push` and
 best of N uncached builds in microseconds per ball vertex, and, for the
 electrified ball, its cone groups and cone edges, the best of N
 electrified builds over the plain ball (`geometry._electrify`, what
-`build_ball` runs when the plain ball is cached) and the best of N
-`cone_edge_count` calls, both in milliseconds.  A second row per case
-times the ball's queries: the best of N `edge_hyperplanes` computations in
-milliseconds, beside the edges that feed every star table in its
-`geometry._star_heads` pass (those whose lower end lies below level R - 1,
-R the radius; later edges feed only the tables of vertices of order above
-2) against all edges, and `separating_hyperplanes` in microseconds per
-call, best of N runs over PAIRS member pairs drawn with random.Random(S).
+`build_ball` runs when the plain ball is cached) with the head-table
+writes of its `geometry._coset_heads` pass over the minsquare pieces, and
+the best of N `cone_edge_count` calls, both in milliseconds.  A second row
+per case times the ball's queries: the best of N `edge_hyperplanes`
+computations in milliseconds, with the head-table writes of its
+`_coset_heads` pass over the stars and the edges that feed every star
+table in it (those whose lower end lies below level R - 1, R the radius;
+later edges feed only the tables of vertices of order above 2) against
+all edges, and `separating_hyperplanes` in microseconds per call, best of
+N runs over PAIRS member pairs drawn with random.Random(S).
 
 Last come the flat grids: `FlatGrid.is_isometric` on the `flat_witness`
 grid over the square a, b, c, d of SQ4 at each size in FLAT_SIZES, with
@@ -43,6 +45,7 @@ from graphprod.geometry import (
     separating_hyperplanes,
 )
 from graphprod.graphs import SimplicialGraph
+from graphprod.squares import minsquare_subgraphs
 
 # radius -> (least n, greatest n, least p, greatest p)
 FAMILIES = {4: (6, 9, 0.15, 0.5), 5: (5, 9, 0.25, 0.6),
@@ -85,6 +88,21 @@ def counted(name, counts):
 
     setattr(geometry, name, run)
     return orig
+
+
+def table_writes(ball, masks, read_outer):
+    """The head-table writes of a `geometry._coset_heads` pass over these
+    masks and flags: an edge whose lower end lies below level R - 1 writes
+    into every table whose mask holds its label, a later edge only into
+    the flagged ones among them."""
+    g = ball.graph
+    writes = 0
+    for i, _, lab in ball.edges():
+        v = g.index(lab)
+        inner = ball.level(i) < ball.radius - 1
+        writes += sum(1 for m, late in zip(masks, read_outer)
+                      if m >> v & 1 and (inner or late))
+    return writes
 
 
 def fresh_hyperplanes(ball):
@@ -132,6 +150,10 @@ def main():
         eball = geometry._electrify(ball)
         electrify = best_of(args.repeat, lambda: geometry._electrify(ball))
         count = best_of(args.repeat, eball.cone_edge_count)
+        pieces = [lam.mask for lam in minsquare_subgraphs(g)]
+        cone_writes = table_writes(ball, pieces, [True] * len(pieces))
+        stars = [g._adj_bits[v] | 1 << v for v in range(g.n)]
+        star_writes = table_writes(ball, stars, [k > 2 for k in g._orders_ix])
         outer = sum(1 for x in ball.verts if len(x) == r)
         orders = "".join(str(k) for k in g._orders_ix)
         print(f"{g.name:<11} r={r} orders {orders:<9} "
@@ -140,15 +162,16 @@ def main():
               f"pushes {counts['_push']:>6,} scans {counts['_last_syllables']:>6,}  "
               f"{best / ball.vertex_count * 1e6:6.2f} us/vertex  "
               f"groups {len(eball.cone_groups):>5,} cone edges {eball.cone_edge_count():>9,}  "
-              f"electrify {electrify * 1e3:6.2f} ms count {count * 1e3:6.2f} ms")
+              f"electrify {electrify * 1e3:6.2f} ms ({cone_writes:>7,} writes) "
+              f"count {count * 1e3:6.2f} ms")
         hyp = best_of(args.repeat, lambda: fresh_hyperplanes(ball))
         fed = sum(1 for i, _, _ in ball.edges() if ball.level(i) < r - 1)
         verts = ball.verts
         pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(PAIRS)]
         sep = best_of(args.repeat, lambda: separate_all(pairs))
         print(f"{'':<11} queries: hyperplanes {len(set(ball.edge_hyperplanes().values())):>6,}  "
-              f"edge_hyperplanes {hyp * 1e3:6.2f} ms "
-              f"(all stars fed by {fed:>6,} of {ball.edge_count():>6,} edges)  "
+              f"edge_hyperplanes {hyp * 1e3:6.2f} ms ({star_writes:>7,} writes; "
+              f"all stars fed by {fed:>6,} of {ball.edge_count():>6,} edges)  "
               f"separating_hyperplanes {sep / PAIRS * 1e6:6.2f} us/call")
     sq4 = load("SQ4")
     for size in FLAT_SIZES:

@@ -213,15 +213,18 @@ class CayleyBall:
         """Map each plain edge (i, j) to its HyperplaneId (cached), in the
         order the edges were recorded.  A u-labelled edge at x is dual to
         the hyperplane carried by the coset x<star(u)>, named by that
-        coset's head: one `_star_heads` pass finds, for each label, the
-        heads at the lower ends of its edges (the proof is there), and each
-        edge's id is read from a list per label indexed by head.  Edges of
-        one label and head share one id, built once."""
+        coset's head: one `_coset_heads` pass over the stars of all labels
+        finds the heads at the lower ends of the edges (the proof is
+        there), and each edge's id is read from a list per label indexed
+        by head.  Edges of one label and head share one id, built once."""
         if self._edge_hyp is None:
+            g = self.graph
             verts = self.verts
+            stars = [g._adj_bits[v] | 1 << v for v in range(g.n)]
+            heads = _coset_heads(self, stars, [k > 2 for k in g._orders_ix])
             # label -> (its head table, its ids by head, filled on first use)
             tables = {name: (head, [None] * len(head))
-                      for name, head in _star_heads(self).items()}
+                      for name, head in zip(g.vertices, heads)}
             new_id = _new_id
             hyp = {}
             for e, lab in self._edge_label.items():
@@ -273,7 +276,7 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     lower-index end: that end is swept first and always forms the product
     (a growth from the shorter end, or an amalgamation, which both ends of
     a level form), so the edges keep the order in which the sweep first
-    meets them, and `_coset_heads` and `_star_heads` rely on that order.
+    meets them, and `_coset_heads` relies on that order.
     Each vertex lists its neighbours in that order too.
 
     On the outermost level only amalgamations remain, and an amalgamation
@@ -283,8 +286,9 @@ def build_ball(graph, radius, electrified=False, max_vertices=DEFAULT_VERTEX_CAP
     stops at the first outermost vertex, since every later one is
     outermost too.
 
-    The cone groups are the minsquare cosets found by `_coset_heads`, one
-    edge pass for all pieces, grouped by (piece, head) in index order."""
+    The cone groups are the minsquare cosets found by `_coset_heads`, the
+    edge pass that also finds the carriers of `edge_hyperplanes`: one pass
+    for all pieces, grouped by (piece, head) in index order."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
@@ -368,12 +372,13 @@ def _sweep(graph, radius, max_vertices):
 
 def _electrify(ball):
     """The electrified ball over a plain one: its structures shared, the
-    minsquare cosets found from the edges (see `_coset_heads`).  A
-    square-free graph has no cosets to find, so its edges are not read."""
+    minsquare cosets found from the edges by one `_coset_heads` pass over
+    all pieces, every table read whole.  A square-free graph has no cosets
+    to find, so its edges are not read."""
     graph = ball.graph
     masks = [lam.mask for lam in minsquare_subgraphs(graph)]
     cone_groups = []
-    for head in _coset_heads(ball, masks) if masks else ():
+    for head in _coset_heads(ball, masks, [True] * len(masks)) if masks else ():
         groups = {}
         for i, h in enumerate(head):
             groups.setdefault(h, []).append(i)
@@ -382,74 +387,53 @@ def _electrify(ball):
                       ball._edge_label, True, tuple(cone_groups))
 
 
-def _coset_heads(ball, masks):
+def _coset_heads(ball, masks, read_outer):
     """For each vertex mask, one table giving for each ball vertex x the
     index of its coset's head: the shortest member of x<mask>, for the
-    parabolic subgroup the mask gives.  `_electrify` asks for the masks of
-    all minsquare pieces and reads every entry.
+    parabolic subgroup the mask gives.  A table whose flag in `read_outer`
+    is false stops before level R, the radius.  `_electrify` asks for the
+    masks of all minsquare pieces, all flagged, and reads every entry.
+    `CayleyBall.edge_hyperplanes` asks for the stars of all vertices,
+    flagged where the vertex has order above 2: it reads the lower end i
+    of each edge (i, j), and i lies on level R only when the edge lies
+    inside level R, an amalgamation, whose label has order above 2.
 
-    One pass over the ball's edges in recording order fills every table:
-    an edge (i, j), i < j, labelled u sets head[j] = head[i] in each table
-    whose mask holds u.  This is exact.  Let p be the shortest member of a
-    coset x<mask> (its minimal representative, unique).  Any other member
-    x = p w of the ball, with w in <mask> reduced, has a last letter in the
-    mask, and dropping it gives a shorter member joined to x by an edge
-    labelled in the mask; p itself has no such edge down, and no other
-    member on its level.  The sweep records an edge while a vertex of its
-    lower level is swept, so after every edge down into that level: head
-    chains each member to p, and an edge inside a level joins two members
-    whose head is already p.  No normal form is built."""
-    size = len(ball.verts)
-    heads = [list(range(size)) for _ in masks]
-    # label -> the tables whose mask holds it
-    tables = {name: [h for h, m in zip(heads, masks) if m >> v & 1]
-              for v, name in enumerate(ball.graph.vertices)}
-    for (i, j), lab in ball._edge_label.items():
-        for head in tables[lab]:
-            head[j] = head[i]
-    return heads
-
-
-def _star_heads(ball):
-    """Label name -> the head table of the cosets x<star(label)>: the table
-    `_coset_heads` makes for that star when the label has order above 2,
-    and that table cut before level R, the radius, when it has order 2.
-    These hold every entry `CayleyBall.edge_hyperplanes` reads.  It reads
-    the lower end i of each edge (i, j), and i lies on level R only when
-    the edge lies inside level R: an amalgamation, whose label has order
-    above 2.
-
-    Every table starts as a copy of one index list.  The pass runs over
-    the edges in recording order as `_coset_heads` does, with two rules on
-    which star tables holding an edge's label it feeds:
+    Every table starts as a copy of one index list, and one pass over the
+    ball's edges in recording order fills them all: an edge (i, j), i < j,
+    labelled u sets head[j] = head[i] in the tables whose mask holds u,
+    with two rules on which of them it feeds:
 
     * the edges whose lower end lies below level R - 1 feed all of them.
       They are a prefix of the recording order, since the sweep records
       an edge while its lower end is swept;
-    * every later edge feeds only those of vertices of order above 2.
-      When there are none, nothing after the prefix is fed.
+    * every later edge feeds only the flagged ones.  When there are none,
+      nothing after the prefix is fed.
 
-    This is exact.  By `_coset_heads`, an entry is final once every edge
-    down into its level has fed its table, and an edge inside a level
-    changes nothing, since both of its ends already hold their head.  The
-    edges down into a level below R have their lower ends below level
-    R - 1, so they lie in the prefix and feed every table they would feed
-    there.  The edges down into level R come after the prefix and still
-    feed every table of order above 2 they would feed there."""
-    g = ball.graph
+    This is exact.  Let p be the shortest member of a coset x<mask> (its
+    minimal representative, unique).  Any other member x = p w of the
+    ball, with w in <mask> reduced, has a last letter in the mask, and
+    dropping it gives a shorter member joined to x by an edge labelled in
+    the mask; p itself has no such edge down, and no other member on its
+    level.  So once every edge down into a level has fed a table, head
+    chains each member on that level to p, and an edge inside the level
+    changes nothing, since it joins two members whose head is already p.
+    The edges down into a level below R have their lower ends below level
+    R - 1, so they lie in the prefix and feed every table; the edges down
+    into level R come after it and feed every flagged table.  Both come
+    before the edges inside their level, as the sweep records an edge
+    while its lower end is swept.  No normal form is built."""
     verts = ball.verts
-    orders = g._orders_ix
     cut = _level_start(verts, ball.radius - 1)
     outer = _level_start(verts, ball.radius)
     index = list(range(len(verts)))
-    heads = [index[:] if k > 2 else index[:outer] for k in orders]
-    # label -> the tables whose star holds it, which are those of its own
-    # star, and the ones among them fed after the prefix
+    heads = [index[:] if flag else index[:outer] for flag in read_outer]
+    # label -> the tables whose mask holds it, and the flagged ones among
+    # them, fed after the prefix
     feeds, late = {}, {}
-    for v, name in enumerate(g.vertices):
-        star = [w for w in range(g.n) if (g._adj_bits[v] | 1 << v) >> w & 1]
-        feeds[name] = [heads[w] for w in star]
-        late[name] = [heads[w] for w in star if orders[w] > 2]
+    for v, name in enumerate(ball.graph.vertices):
+        feeds[name] = [h for h, m in zip(heads, masks) if m >> v & 1]
+        late[name] = [h for h, m, flag in zip(heads, masks, read_outer)
+                      if flag and m >> v & 1]
     edges = iter(ball._edge_label.items())
     for (i, j), lab in edges:
         if i >= cut:
@@ -462,7 +446,7 @@ def _star_heads(ball):
         for (i, j), lab in edges:
             for head in late[lab]:
                 head[j] = head[i]
-    return dict(zip(g.vertices, heads))
+    return heads
 
 
 def _level_start(verts, level):

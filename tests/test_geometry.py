@@ -30,6 +30,7 @@ from graphprod.graphs import (
 from graphprod.squares import minsquare_subgraphs
 from graphprod.words import (
     Word,
+    _coset_rep,
     format_word,
     identity,
     invert,
@@ -559,21 +560,39 @@ def test_edge_hyperplanes_match_per_edge_oracle_on_every_small_graph():
     assert min(outer_flat.values()) >= 1000
 
 
-def test_star_heads_are_coset_heads_where_kept(corpus_graphs):
-    # the table of a vertex of order above 2 is the `_coset_heads` table of
-    # its star; that of a vertex of order 2 is the same table cut before
-    # the outermost level
+def _coset_head_cases(corpus_graphs):
+    """Every small graph at radii 1 and 2 and the corpus at radius 0..4,
+    plain, each ball built when it is reached."""
+    for g in _small_graphs():
+        for r in (1, 2):
+            yield build_ball(g, r)
+    for g in corpus_graphs.values():
+        for r in range(5):
+            yield build_ball(g, r)
+
+
+def test_coset_heads_match_coset_rep_where_kept(corpus_graphs):
+    # every kept entry is the index of its coset's minimal representative,
+    # for the stars (flagged at orders above 2, as `edge_hyperplanes` asks)
+    # and the minsquare pieces (all flagged, as `_electrify` asks); an
+    # unflagged table stops before the outermost level
     cut_short = 0
-    for ball in _hyperplane_cases(corpus_graphs)[::2]:  # the plain balls
+    for ball in _coset_head_cases(corpus_graphs):
         g = ball.graph
+        verts = ball.verts
+        inner = sum(1 for x in verts if len(x) < ball.radius)
         stars = [g._adj_bits[v] | 1 << v for v in range(g.n)]
-        full = geometry._coset_heads(ball, stars)
-        inner = sum(1 for x in ball.verts if len(x) < ball.radius)
-        heads = geometry._star_heads(ball)
-        assert list(heads) == list(g.vertices)
-        for k, want, (name, head) in zip(g._orders_ix, full, heads.items()):
-            assert head == (want if k > 2 else want[:inner]), (ball, name)
-            cut_short += len(head) < len(want)
+        pieces = [lam.mask for lam in minsquare_subgraphs(g)]
+        for masks, flags in ((stars, [k > 2 for k in g._orders_ix]),
+                             (pieces, [True] * len(pieces))):
+            heads = geometry._coset_heads(ball, masks, flags)
+            assert len(heads) == len(masks)
+            for mask, late, head in zip(masks, flags, heads):
+                assert len(head) == (len(verts) if late else inner), (ball, mask)
+                cut_short += len(head) < len(verts)
+                want = [ball.index_of(_coset_rep(verts[i], mask))
+                        for i in range(len(head))]
+                assert head == want, (ball, mask)
     assert cut_short > 0
 
 
@@ -602,41 +621,33 @@ def test_edge_hyperplanes_build_no_coset_rep(monkeypatch, corpus_graphs):
 
 
 def _count_coset_heads(monkeypatch):
-    """Count calls to geometry._coset_heads from here on."""
+    """Count calls to geometry._coset_heads from here on, by their number
+    of masks."""
     calls = []
     coset_heads = geometry._coset_heads
 
-    def counting_coset_heads(ball, masks):
+    def counting_coset_heads(ball, masks, read_outer):
         calls.append(len(masks))
-        return coset_heads(ball, masks)
+        return coset_heads(ball, masks, read_outer)
 
     monkeypatch.setattr(geometry, "_coset_heads", counting_coset_heads)
     return calls
 
 
 def test_one_coset_head_pass_per_structure(monkeypatch):
-    # one pass serves all minsquare pieces, and one all stars: the stars
-    # have their own pass (`_star_heads`), which fills only what
-    # edge_hyperplanes reads, once per ball
+    # one pass serves all minsquare pieces, and one all stars, which
+    # edge_hyperplanes makes once per ball
     calls = _count_coset_heads(monkeypatch)
-    star_passes = []
-    star_heads = geometry._star_heads
-
-    def counting_star_heads(ball):
-        star_passes.append(ball)
-        return star_heads(ball)
-
-    monkeypatch.setattr(geometry, "_star_heads", counting_star_heads)
     for g in _graphs_with_pieces(random.Random(9909), 6):
         build_ball.cache_clear()
         build_ball(g, 2, electrified=True)
-        assert calls == [len(minsquare_subgraphs(g))] and star_passes == []
+        assert calls == [len(minsquare_subgraphs(g))]
         calls.clear()
         ball = build_ball(g, 2)
         ball.edge_hyperplanes()
         ball.edge_hyperplanes()
-        assert calls == [] and star_passes == [ball]
-        star_passes.clear()
+        assert calls == [g.n]
+        calls.clear()
 
 
 def test_hyperplane_matches_edge_classes(balls3):

@@ -25,7 +25,14 @@ from graphprod.squares import (
 )
 
 from oracles import brute_is_square_complete, brute_minsquare, brute_squares
-from references import RowSquareCore, brute_closure, make_random_graph, row_closure
+from references import (
+    RowSquareCore,
+    all_labelled_graphs,
+    brute_closure,
+    brute_jinf,
+    make_random_graph,
+    row_closure,
+)
 
 
 def test_is_square_complete_examples(corpus_graphs):
@@ -121,6 +128,25 @@ def test_minsquare_matches_bruteforce(corpus_graphs, random_graphs_9):
     for g in list(corpus_graphs.values()) + random_graphs_9:
         got = {m.members for m in minsquare_subgraphs(g)}
         assert got == brute_minsquare(g)
+
+
+def test_squares_pieces_and_jinf_match_references_on_every_small_graph():
+    # every labelled graph on at most 5 vertices (orders play no part), so
+    # a failure names a graph that the next run meets again, not a seed
+    graphs = list(all_labelled_graphs(5, (2,)))
+    assert len(graphs) == 1099
+    with_pieces = 0
+    for g in graphs:
+        quads = [q.members for q in induced_squares(g)]
+        assert len(quads) == len(set(quads)) and set(quads) == brute_squares(g), g
+        pieces = [m.members for m in minsquare_subgraphs(g)]
+        assert len(pieces) == len(set(pieces)) and set(pieces) == brute_minsquare(g), g
+        per = jinf(g)
+        members = [m.members for m in per.members]
+        assert (set(members), per.iterations) == brute_jinf(g), g
+        assert len(members) == len(set(members)), g
+        with_pieces += bool(pieces)
+    assert with_pieces > 0
 
 
 def test_minsquare_never_contains_universal_vertex(corpus_graphs, random_graphs_9):
